@@ -5,7 +5,9 @@
 //! and mobility patterns. Verifies all three paths produce bit-identical
 //! `RxPlan` streams before timing them, and writes
 //! `results/BENCH_fanout.json` (then re-reads and validates it: missing
-//! fields or a NaN/inf anywhere fail the run).
+//! fields or a NaN/inf anywhere fail the run). `--quick` runs write
+//! `target/BENCH_fanout.quick.json` instead, so a smoke run never
+//! overwrites the committed full-run report.
 //!
 //! Density matters: at the paper's density (50 nodes / 1000 m square) the
 //! interference floor covers a large fraction of the area, so the index can
@@ -418,17 +420,21 @@ fn main() {
     }
 
     let out = json(&measurements);
-    let path = std::path::Path::new("results/BENCH_fanout.json");
+    let path = std::path::Path::new(if args.quick {
+        "target/BENCH_fanout.quick.json"
+    } else {
+        "results/BENCH_fanout.json"
+    });
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
-    std::fs::write(path, &out).expect("write BENCH_fanout.json");
+    std::fs::write(path, &out).expect("write the fan-out report");
     println!("{out}");
     println!("wrote {}", path.display());
 
     let mut failed = false;
     // Self-validation: the report on disk must be well-formed.
-    let written = std::fs::read_to_string(path).expect("re-read BENCH_fanout.json");
+    let written = std::fs::read_to_string(path).expect("re-read the fan-out report");
     if let Err(e) = validate_report(&written, measurements.len()) {
         eprintln!("FAIL: malformed report: {e}");
         failed = true;

@@ -14,6 +14,7 @@ use experiments::scenario_compiler::{FaultSpec, MobilitySpec, WorkloadScenario};
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
 use mesh_sim::simulator::Simulator;
+use mesh_sim::trace::TraceEventKind;
 use odmrp::{OdmrpNode, Variant};
 use proptest::prelude::*;
 
@@ -174,6 +175,74 @@ fn faulted_scenario_resumes_exactly() {
     for &t in &[SimTime::from_secs(18), SimTime::from_secs(33)] {
         assert_resume_identity(&w, Variant::Metric(MetricKind::Spp), 11, t);
     }
+}
+
+/// Records `(frame, at)` of every traced RxStart, in simulation order.
+#[derive(Debug, Default)]
+struct RxStarts(Vec<(u64, SimTime)>);
+
+impl TraceSink for RxStarts {
+    fn record(&mut self, event: TraceEvent) {
+        if let (TraceEventKind::RxStart { .. }, Some(frame)) = (&event.kind, event.frame) {
+            self.0.push((frame.as_u64(), event.at));
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Pinned: a checkpoint taken mid-frame — some of a fan-out's RxStarts
+/// already dequeued, the rest and all its RxEnds still pending — re-encodes
+/// byte-identically after restore, and the resumed run ends exactly where
+/// the uninterrupted one does.
+#[test]
+fn mid_frame_checkpoint_resumes_exactly() {
+    let w = tiny_workload();
+    let (variant, seed) = (Variant::Metric(MetricKind::Spp), 5);
+    // Receptions of one fan-out start within a few microseconds of each
+    // other; a frame id recurs only after the frame's airtime has passed.
+    let spread = SimDuration::from_micros(100);
+    let mut traced = w.build(variant, seed);
+    traced.world_mut().set_trace(Box::new(RxStarts::default()));
+    traced.run_until(SimTime::from_secs(12));
+    let sink = traced.world_mut().take_trace().expect("trace attached");
+    let starts = &sink
+        .as_any()
+        .downcast_ref::<RxStarts>()
+        .expect("RxStarts")
+        .0;
+    let mut first_start = std::collections::BTreeMap::new();
+    let t_snap = starts
+        .iter()
+        .find_map(|&(frame, at)| {
+            match first_start.get(&frame) {
+                Some(&t0) if at > t0 && at.saturating_since(t0) < spread => return Some(t0),
+                Some(&t0) if at.saturating_since(t0) < spread => return None,
+                _ => {}
+            }
+            first_start.insert(frame, at);
+            None
+        })
+        .expect("some fan-out reaches receivers at two distinct instants");
+
+    let fp = w.fingerprint(variant, seed);
+    let mut first = w.build(variant, seed);
+    first.run_until(t_snap);
+    let bytes = first.snapshot(fp);
+    let mut restored = w.build(variant, seed);
+    restored
+        .restore(&bytes, fp)
+        .expect("mid-frame checkpoint restores");
+    assert_eq!(
+        restored.snapshot(fp),
+        bytes,
+        "restore → snapshot of a mid-frame checkpoint is not the identity"
+    );
+    assert_resume_identity(&w, variant, seed, t_snap);
 }
 
 /// A checkpoint refuses to restore into a different cell (wrong variant ⇒

@@ -145,3 +145,15 @@ fn snapshot_of_restored_sim_is_byte_identical() {
          deserializer disagree about some field"
     );
 }
+
+/// The live writer still emits exactly the committed v1 bytes: the pinned
+/// scenario run to the snapshot instant serializes to the fixture. This
+/// pins how the live event queue is expanded into its flat wire form.
+#[test]
+fn live_snapshot_matches_fixture_bytes() {
+    assert!(
+        generate_fixture_bytes() == load_fixture(),
+        "a fresh snapshot of the pinned scenario differs from the committed \
+         fixture; the writer's output drifted"
+    );
+}

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use crate::counters::{class_slot, Counters, NodeCounters, MAX_CLASSES};
-use crate::event::{fold_schedule_hash, EventKind, EventQueue, SCHEDULE_HASH_SEED};
+use crate::event::{fold_schedule_hash, EventKind, EventQueue, PendingEvents, SCHEDULE_HASH_SEED};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::frame::{Frame, FrameBody, FrameSlab};
 use crate::geometry::Pos;
@@ -946,24 +946,7 @@ impl<M: Clone + std::fmt::Debug> World<M> {
                 },
             });
         }
-        for plan in &self.fan_buf {
-            self.queue.push(
-                self.now + plan.delay,
-                EventKind::RxStart {
-                    node: plan.node,
-                    frame: id,
-                    power_w: plan.power_w,
-                },
-            );
-            self.queue.push(
-                self.now + plan.delay + air,
-                EventKind::RxEnd {
-                    node: plan.node,
-                    frame: id,
-                    power_w: plan.power_w,
-                },
-            );
-        }
+        self.queue.push_arrivals(self.now, air, id, &self.fan_buf);
         self.queue.push(end, EventKind::TxEnd { node, frame: id });
     }
     // mesh-lint: end-hot
@@ -1442,7 +1425,7 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
     /// restored queue already holds the pending `Fault` events.
     pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.now = Snap::unsnap(r)?;
-        self.queue = Snap::unsnap(r)?;
+        let pending: PendingEvents = Snap::unsnap(r)?;
         let positions: Vec<Pos> = Snap::unsnap(r)?;
         if positions.len() != self.positions.len() {
             return Err(SnapError::StateMismatch("node count"));
@@ -1451,6 +1434,10 @@ impl<M: Clone + std::fmt::Debug + Snap> World<M> {
         self.radios = Snap::unsnap(r)?;
         self.macs = Snap::unsnap(r)?;
         self.frames = Snap::unsnap(r)?;
+        // Regrouping reception events into per-frame cursors needs each
+        // frame's airtime, so the queue is rebuilt once the slab is back.
+        let frames = &self.frames;
+        self.queue = EventQueue::regroup(pending, |id| frames.get(id).map(|f| f.duration))?;
         self.medium.restore_state(r)?;
         self.rng = Snap::unsnap(r)?;
         self.counters = Snap::unsnap(r)?;
