@@ -6,14 +6,15 @@
 //! exercised by `cargo bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use experiments::runner::{run_mesh_once, run_testbed_once};
+use experiments::runner::run_testbed_once;
 use experiments::scenario::{MeshScenario, TestbedScenario};
+use experiments::WorkloadScenario;
 use mcast_metrics::{choose_path, figure1_candidates, figure3_candidates, MetricKind};
 use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
 /// A miniature of the §4.1 mesh: 16 nodes, 20 s of data.
-fn tiny_mesh() -> MeshScenario {
+fn tiny_mesh() -> WorkloadScenario {
     let mut s = MeshScenario::quick();
     s.nodes = 16;
     s.area_side = 500.0;
@@ -21,7 +22,7 @@ fn tiny_mesh() -> MeshScenario {
     s.members_per_group = 4;
     s.data_start = SimTime::from_secs(10);
     s.data_stop = SimTime::from_secs(30);
-    s
+    WorkloadScenario::from_mesh("tiny", s)
 }
 
 fn tiny_testbed() -> TestbedScenario {
@@ -73,14 +74,14 @@ fn bench_fig2_sim(c: &mut Criterion) {
             &variant,
             |b, &v| {
                 let s = tiny_mesh();
-                b.iter(|| black_box(run_mesh_once(&s, v, 1).pdr()))
+                b.iter(|| black_box(s.run_once(v, 1).pdr()))
             },
         );
     }
     g.bench_function("ETX_high_overhead_x5", |b| {
         let mut s = tiny_mesh();
-        s.probe_rate = 5.0; // Fig. 2 "Throughput-high overhead" / §4.2.2
-        b.iter(|| black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Etx), 1).pdr()))
+        s.mesh.probe_rate = 5.0; // Fig. 2 "Throughput-high overhead" / §4.2.2
+        b.iter(|| black_box(s.run_once(Variant::Metric(MetricKind::Etx), 1).pdr()))
     });
     g.finish();
 }
@@ -92,7 +93,10 @@ fn bench_table1(c: &mut Criterion) {
     g.bench_function("ETT_overhead_measurement", |b| {
         let s = tiny_mesh();
         b.iter(|| {
-            black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Ett), 1).probe_overhead_pct)
+            black_box(
+                s.run_once(Variant::Metric(MetricKind::Ett), 1)
+                    .probe_overhead_pct,
+            )
         })
     });
     g.finish();
@@ -104,9 +108,9 @@ fn bench_multi_source(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("two_sources_per_group", |b| {
         let mut s = tiny_mesh();
-        s.members_per_group = 3;
-        s.sources_per_group = 2;
-        b.iter(|| black_box(run_mesh_once(&s, Variant::Metric(MetricKind::Spp), 1).pdr()))
+        s.mesh.members_per_group = 3;
+        s.mesh.sources_per_group = 2;
+        b.iter(|| black_box(s.run_once(Variant::Metric(MetricKind::Spp), 1).pdr()))
     });
     g.finish();
 }

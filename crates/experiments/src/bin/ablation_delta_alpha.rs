@@ -7,9 +7,10 @@
 //! committing.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{run_matrix, run_mesh_once, summarize};
+use experiments::runner::{run_matrix, summarize};
 use experiments::scenario::MeshScenario;
 use experiments::stats::render_table;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use mesh_sim::time::SimDuration;
 use odmrp::Variant;
@@ -31,8 +32,9 @@ fn main() {
         };
         scenario.delta = SimDuration::from_millis(delta_ms);
         scenario.alpha = SimDuration::from_millis(alpha_ms);
+        let cell = WorkloadScenario::from_mesh("ablation-delta-alpha", scenario);
         let results = run_matrix(&[Variant::Original, metric], &seeds, |v, s| {
-            run_mesh_once(&scenario, v, s)
+            cell.run_once(v, s)
         });
         let summ = summarize(&results, Variant::Original);
         let s = summ

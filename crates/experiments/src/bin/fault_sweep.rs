@@ -9,11 +9,16 @@
 //! better than the one to its left.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, run_mesh_with_faults};
+use experiments::runner::{paper_variants, run_matrix};
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::FaultSpec;
+use experiments::WorkloadScenario;
 use mesh_sim::time::SimDuration;
 
 const INTENSITIES: [f64; 3] = [0.3, 0.6, 1.0];
+
+/// Oracle checkpoint interval in simulated seconds (printed in the verdict).
+const CHECK_EVERY_S: u64 = 10;
 
 fn main() {
     let args = CliArgs::from_env();
@@ -34,22 +39,28 @@ fn main() {
     );
 
     let variants = paper_variants();
-    let check = Some(SimDuration::from_secs(10));
     let t0 = std::time::Instant::now();
 
     // Column 0: fault-free baseline.
-    let clean = run_matrix(&variants, &seeds, |v, s| run_mesh_once(&scenario, v, s));
-    let mut columns = vec![("none".to_string(), clean)];
+    let clean = WorkloadScenario::from_mesh("fault-sweep", scenario);
+    let clean_runs = run_matrix(&variants, &seeds, |v, s| clean.run_once(v, s));
+    let mut columns = vec![("none".to_string(), clean_runs)];
     for &intensity in &INTENSITIES {
+        let faulted = WorkloadScenario {
+            faults: FaultSpec::Random { intensity },
+            ..clean.clone()
+        };
         let runs = run_matrix(&variants, &seeds, |v, s| {
-            let plan = scenario.random_fault_plan(s, intensity);
-            let m = run_mesh_with_faults(&scenario, v, s, &plan, check);
+            let (m, _) = faulted.run_with(v, s, |sim| {
+                sim.set_invariant_interval(SimDuration::from_secs(CHECK_EVERY_S));
+                sim.add_oracle(odmrp::invariants::oracle());
+            });
             eprintln!(
                 "  {} seed={} intensity={} faults={} pdr={:.3} ({:.1}s elapsed)",
                 m.variant,
                 s,
                 intensity,
-                plan.len(),
+                faulted.random_fault_plan(s, intensity).len(),
                 m.pdr(),
                 t0.elapsed().as_secs_f64()
             );
@@ -79,5 +90,5 @@ fn main() {
         println!();
     }
     println!();
-    println!("invariant oracles ran every 10 s of simulated time: no violations.");
+    println!("invariant oracles ran every {CHECK_EVERY_S} s of simulated time: no violations.");
 }

@@ -3,9 +3,9 @@
 //! gain dropping by about 2 % — probes interfere with data.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{comparison_variants, run_matrix, run_mesh_once, summarize};
+use experiments::runner::{comparison_variants, run_matrix, summarize};
 use experiments::scenario::MeshScenario;
-use experiments::{paper, report};
+use experiments::{paper, report, WorkloadScenario};
 use odmrp::Variant;
 
 fn main() {
@@ -22,9 +22,8 @@ fn main() {
         scenario.probe_rate,
         seeds.len()
     );
-    let results = run_matrix(&comparison_variants(), &seeds, |v, s| {
-        run_mesh_once(&scenario, v, s)
-    });
+    let cell = WorkloadScenario::from_mesh("fig2-high-overhead", scenario.clone());
+    let results = run_matrix(&comparison_variants(), &seeds, |v, s| cell.run_once(v, s));
     let summaries = summarize(&results, Variant::Original);
 
     println!(

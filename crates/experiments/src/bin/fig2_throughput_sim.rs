@@ -3,9 +3,9 @@
 //! the 50-node random mesh, averaged over random topologies.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{comparison_variants, run_matrix, run_mesh_once, summarize};
+use experiments::runner::{comparison_variants, run_matrix, summarize};
 use experiments::scenario::MeshScenario;
-use experiments::{paper, report};
+use experiments::{paper, report, WorkloadScenario};
 use odmrp::Variant;
 
 fn main() {
@@ -26,9 +26,10 @@ fn main() {
         scenario.data_start,
         scenario.data_stop
     );
+    let cell = WorkloadScenario::from_mesh("fig2", scenario);
     let t0 = std::time::Instant::now();
     let results = run_matrix(&comparison_variants(), &seeds, |v, s| {
-        let m = run_mesh_once(&scenario, v, s);
+        let m = cell.run_once(v, s);
         eprintln!(
             "  {} seed={} pdr={:.3} delay={:.1}ms overhead={:.2}% ({:.1}s elapsed)",
             m.variant,

@@ -9,8 +9,9 @@
 
 use experiments::cli::CliArgs;
 use experiments::report;
-use experiments::runner::{run_matrix, run_mesh_once, summarize};
+use experiments::runner::{run_matrix, summarize};
 use experiments::scenario::MeshScenario;
+use experiments::WorkloadScenario;
 use mcast_metrics::{MetricKind, MetricRegistry};
 use odmrp::Variant;
 
@@ -37,8 +38,9 @@ fn main() {
         scenario.nodes
     );
 
+    let cell = WorkloadScenario::from_mesh("metric-matrix", scenario);
     let results = run_matrix(&variants, &seeds, |v, s| {
-        let m = run_mesh_once(&scenario, v, s);
+        let m = cell.run_once(v, s);
         eprintln!("  {} seed={} pdr={:.3}", m.variant, s, m.pdr());
         m
     });

@@ -4,9 +4,10 @@
 //! ≈10–15 % compared to the single-source case.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
+use experiments::runner::{paper_variants, run_matrix, summarize};
 use experiments::scenario::MeshScenario;
 use experiments::stats::render_table;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use odmrp::Variant;
 
@@ -28,13 +29,11 @@ fn main() {
         multi.sources_per_group,
         seeds.len()
     );
-    let res_single = run_matrix(&paper_variants(), &seeds, |v, s| {
-        run_mesh_once(&single, v, s)
-    });
+    let single = WorkloadScenario::from_mesh("single-source", single);
+    let multi = WorkloadScenario::from_mesh("multi-source", multi);
+    let res_single = run_matrix(&paper_variants(), &seeds, |v, s| single.run_once(v, s));
     eprintln!("  single-source matrix done");
-    let res_multi = run_matrix(&paper_variants(), &seeds, |v, s| {
-        run_mesh_once(&multi, v, s)
-    });
+    let res_multi = run_matrix(&paper_variants(), &seeds, |v, s| multi.run_once(v, s));
     eprintln!("  multi-source matrix done");
 
     let sum_single = summarize(&res_single, Variant::Original);

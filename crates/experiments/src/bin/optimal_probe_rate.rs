@@ -7,9 +7,10 @@
 //! with data. Prints the sweet spot per metric.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{run_matrix, run_mesh_once, summarize};
+use experiments::runner::{run_matrix, summarize};
 use experiments::scenario::MeshScenario;
 use experiments::stats::render_table;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use odmrp::Variant;
 
@@ -33,10 +34,11 @@ fn main() {
                 MeshScenario::paper_default()
             };
             scenario.probe_rate = rate;
+            let cell = WorkloadScenario::from_mesh("optimal-probe-rate", scenario);
             let results = run_matrix(
                 &[Variant::Original, Variant::Metric(kind)],
                 &seeds,
-                |v, s| run_mesh_once(&scenario, v, s),
+                |v, s| cell.run_once(v, s),
             );
             let summ = summarize(&results, Variant::Original);
             let tp = summ

@@ -3,9 +3,10 @@
 //! and ≈−2 % at the high rate, with PP/ETT the most sensitive.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
+use experiments::runner::{paper_variants, run_matrix, summarize};
 use experiments::scenario::MeshScenario;
 use experiments::stats::render_table;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use odmrp::Variant;
 
@@ -26,9 +27,8 @@ fn main() {
             MeshScenario::paper_default()
         };
         scenario.probe_rate = rate;
-        let results = run_matrix(&paper_variants(), &seeds, |v, s| {
-            run_mesh_once(&scenario, v, s)
-        });
+        let cell = WorkloadScenario::from_mesh("probe-rate-sweep", scenario);
+        let results = run_matrix(&paper_variants(), &seeds, |v, s| cell.run_once(v, s));
         per_rate.push(summarize(&results, Variant::Original));
         eprintln!("  rate x{rate} done");
     }

@@ -11,13 +11,13 @@ use experiments::cli::CliArgs;
 use experiments::runner::paper_variants;
 use experiments::scenario::MeshScenario;
 use experiments::stats::{jain_fairness, percentile, render_table};
+use experiments::WorkloadScenario;
 use odmrp::{MulticastApp, Variant};
 
 /// Per-receiver delivery ratios for one run.
-fn receiver_ratios(scenario: &MeshScenario, variant: Variant, seed: u64) -> Vec<f64> {
-    let layout = scenario.layout(seed);
-    let mut sim = scenario.build(variant, seed);
-    sim.run_until(scenario.run_until());
+fn receiver_ratios(cell: &WorkloadScenario, variant: Variant, seed: u64) -> Vec<f64> {
+    let layout = cell.layout(seed);
+    let (_, sim) = cell.run_with(variant, seed, |_| {});
     let nodes = sim.protocols();
     let mut out = Vec::new();
     for g in &layout.groups {
@@ -57,11 +57,14 @@ fn receiver_ratios(scenario: &MeshScenario, variant: Variant, seed: u64) -> Vec<
 
 fn main() {
     let args = CliArgs::from_env();
-    let scenario = if args.quick {
-        MeshScenario::quick()
-    } else {
-        MeshScenario::paper_default()
-    };
+    let cell = WorkloadScenario::from_mesh(
+        "receiver-fairness",
+        if args.quick {
+            MeshScenario::quick()
+        } else {
+            MeshScenario::paper_default()
+        },
+    );
     let seeds = args.seeds(5);
     println!(
         "== extension: per-receiver fairness ({} topologies) ==\n",
@@ -72,7 +75,7 @@ fn main() {
     for v in paper_variants() {
         let mut ratios = Vec::new();
         for &s in &seeds {
-            ratios.extend(receiver_ratios(&scenario, v, s));
+            ratios.extend(receiver_ratios(&cell, v, s));
         }
         let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
         let p10 = percentile(&ratios, 0.10).unwrap_or(0.0);

@@ -2,8 +2,8 @@
 //! fault plan, with degraded mode off vs on.
 //!
 //! For every topology seed the same deterministic fault plan used by the
-//! fault sweep (`MeshScenario::random_fault_plan`) is replayed against every
-//! variant twice — once with the baseline protocol and once with degraded
+//! fault sweep (`WorkloadScenario::random_fault_plan`) is replayed against
+//! every variant twice — once with the baseline protocol and once with degraded
 //! mode (staleness quarantine, refresh backoff, min-hop fallback). Each run
 //! records a metrics timeseries with buckets one refresh interval wide, so
 //! the recovery verdict reads directly in refresh rounds: the time-to-recover
@@ -14,9 +14,10 @@
 //! reported as a structured failure and the rest of the sweep is salvaged.
 
 use experiments::recovery::{analyze, RecoverySpec};
-use experiments::runner::{paper_variants, run_matrix_supervised, run_recovery};
+use experiments::runner::{paper_variants, run_jobs_supervised_resumable};
 use experiments::scenario::MeshScenario;
-use experiments::{cli::CliArgs, RunMeasurement};
+use experiments::scenario_compiler::FaultSpec;
+use experiments::{cli::CliArgs, RunMeasurement, WorkloadScenario};
 use odmrp::Variant;
 
 const FAULT_INTENSITY: f64 = 0.6;
@@ -29,7 +30,10 @@ fn main() {
         MeshScenario::paper_default()
     };
     let seeds = args.seeds(5);
-    let variants = paper_variants();
+    let jobs: Vec<(Variant, u64)> = paper_variants()
+        .into_iter()
+        .flat_map(|v| seeds.iter().map(move |&s| (v, s)))
+        .collect();
     eprintln!(
         "recovery sweep: {} nodes, {} topologies, fault intensity {FAULT_INTENSITY}",
         base.nodes,
@@ -52,24 +56,40 @@ fn main() {
         if let Some(r) = args.probe_rate {
             scenario.probe_rate = r;
         }
-        let report = run_matrix_supervised(&variants, &seeds, 1, |v, s| {
-            let plan = scenario.random_fault_plan(s, FAULT_INTENSITY);
-            let m = run_recovery(&scenario, v, s, &plan, None);
-            eprintln!(
-                "  {} seed={} degraded={} pdr={:.3} ({:.1}s elapsed)",
-                m.variant,
-                s,
-                degraded,
-                m.pdr(),
-                t0.elapsed().as_secs_f64()
-            );
-            m
-        });
+        let cell = WorkloadScenario {
+            faults: FaultSpec::Random {
+                intensity: FAULT_INTENSITY,
+            },
+            ..WorkloadScenario::from_mesh("recovery-sweep", scenario)
+        };
+        let report = run_jobs_supervised_resumable(
+            &jobs,
+            1,
+            |_, v, s, _| {
+                // Buckets one refresh interval wide, so time-to-recover
+                // reads in refresh rounds.
+                let (m, _) = cell.run_with(v, s, |sim| {
+                    cell.supervise(sim, v);
+                    sim.world_mut()
+                        .set_metrics(cell.mesh.odmrp_config(v).refresh_interval);
+                });
+                eprintln!(
+                    "  {} seed={} degraded={} pdr={:.3} ({:.1}s elapsed)",
+                    m.variant,
+                    s,
+                    degraded,
+                    m.pdr(),
+                    t0.elapsed().as_secs_f64()
+                );
+                m
+            },
+            |_, _| {},
+        );
         for f in report.failures() {
             eprintln!("  FAILED: {f}");
         }
         for m in report.successes() {
-            rows.push(render_row(&scenario, m, degraded));
+            rows.push(render_row(&cell, m, degraded));
         }
     }
     // Interleave off/on rows per (variant, seed) for side-by-side reading.
@@ -80,9 +100,9 @@ fn main() {
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn render_row(scenario: &MeshScenario, m: &RunMeasurement, degraded: bool) -> String {
-    let plan = scenario.random_fault_plan(m.seed, FAULT_INTENSITY);
-    let spec = RecoverySpec::for_scenario(scenario, &plan);
+fn render_row(cell: &WorkloadScenario, m: &RunMeasurement, degraded: bool) -> String {
+    let plan = cell.random_fault_plan(m.seed, FAULT_INTENSITY);
+    let spec = RecoverySpec::for_scenario(&cell.mesh, &plan);
     let ts = m.timeseries.as_ref().expect("recovery runs record metrics");
     let a = analyze(ts, &spec);
     let ttr = match a.rounds_to_recover {

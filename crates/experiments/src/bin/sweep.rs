@@ -41,12 +41,12 @@ use std::process::ExitCode;
 use experiments::runner::{run_jobs_supervised_resumable, CheckpointSlot, RunFailure};
 use experiments::scenario_compiler::{
     check, compile, expand, job_count, quicken, variant_name, CompiledScenario, SweepJob,
-    DEFAULT_CAP,
+    WorkloadScenario, DEFAULT_CAP,
 };
 use experiments::stats::{render_table, Summary};
 use experiments::RunMeasurement;
 use mesh_sim::counters::Counters;
-use mesh_sim::time::SimTime;
+use mesh_sim::time::{SimDuration, SimTime};
 use odmrp::Variant;
 
 struct Args {
@@ -402,6 +402,43 @@ fn read_ckpt(dir: &Path, job: usize) -> Option<(SimTime, Vec<u8>)> {
     }
     let nanos = u64::from_le_bytes(buf[..8].try_into().expect("8-byte prefix"));
     Some((SimTime::from_nanos(nanos), buf[8..].to_vec()))
+}
+
+/// Run one supervised cell with **checkpoint/restore**: if `slot` holds a
+/// checkpoint (left by a panicking attempt, or read back from disk after a
+/// crash), the run resumes from it instead of replaying from `t = 0`;
+/// either way it checkpoints into `slot` and to `dir` every quarter of the
+/// simulated horizon. Resume is exact — the resumed run's `schedule_hash`,
+/// counters and timeseries are bit-identical to an uninterrupted run. A
+/// checkpoint that fails to restore (fingerprint mismatch, truncation) is
+/// discarded and the cell starts fresh.
+fn run_checkpointed(
+    w: &WorkloadScenario,
+    v: Variant,
+    s: u64,
+    slot: &CheckpointSlot,
+    dir: PathBuf,
+    job: usize,
+) -> RunMeasurement {
+    let fp = w.fingerprint(v, s);
+    let every = SimDuration::from_nanos((w.run_until().as_nanos() / 4).max(1));
+    let sink_slot = slot.clone();
+    let (m, _) = w.run_with(v, s, |sim| {
+        w.supervise(sim, v);
+        if let Some((_, bytes)) = slot.get() {
+            if sim.restore(&bytes, fp).is_err() {
+                // The restore may have half-overwritten the simulator.
+                slot.clear();
+                *sim = w.build(v, s);
+                w.supervise(sim, v);
+            }
+        }
+        sim.checkpoint_every(every, fp, move |at, bytes| {
+            write_ckpt(&dir, job, at, &bytes);
+            sink_slot.store(at, bytes);
+        });
+    });
+    m
 }
 
 fn mean_ci(s: &Summary) -> String {
@@ -815,12 +852,7 @@ fn run(args: &Args) -> Result<(), String> {
                     slot.store(t, bytes);
                 }
             }
-            let dir = ckpts_run.clone();
-            jobs[i]
-                .scenario
-                .run_supervised_checkpointed(v, s, slot, move |at, bytes| {
-                    write_ckpt(&dir, i, at, bytes);
-                })
+            run_checkpointed(&jobs[i].scenario, v, s, slot, ckpts_run.clone(), i)
         },
         |pi, result| {
             let i = pending[pi];

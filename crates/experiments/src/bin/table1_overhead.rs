@@ -2,9 +2,9 @@
 //! bytes received, on the paper's 50-node simulation setup.
 
 use experiments::cli::CliArgs;
-use experiments::report;
-use experiments::runner::{comparison_variants, run_matrix, run_mesh_once, summarize};
+use experiments::runner::{comparison_variants, run_matrix, summarize};
 use experiments::scenario::MeshScenario;
+use experiments::{report, WorkloadScenario};
 use odmrp::Variant;
 
 fn main() {
@@ -19,9 +19,8 @@ fn main() {
     }
     let seeds = args.seeds(10);
     eprintln!("table1: {} topologies", seeds.len());
-    let results = run_matrix(&comparison_variants(), &seeds, |v, s| {
-        run_mesh_once(&scenario, v, s)
-    });
+    let cell = WorkloadScenario::from_mesh("table1", scenario);
+    let results = run_matrix(&comparison_variants(), &seeds, |v, s| cell.run_once(v, s));
     let summaries = summarize(&results, Variant::Original);
 
     println!("== Table 1: comparative percentage overhead ==");

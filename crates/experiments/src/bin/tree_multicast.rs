@@ -8,9 +8,10 @@
 //! should persist.
 
 use experiments::cli::CliArgs;
-use experiments::runner::{run_matrix, run_mesh_once, run_tree_once, summarize};
+use experiments::runner::{run_matrix, run_tree_once, summarize};
 use experiments::scenario::MeshScenario;
 use experiments::stats::render_table;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use odmrp::Variant;
 
@@ -51,9 +52,11 @@ fn main() {
 
     let mut rows = Vec::new();
     eprintln!("  ODMRP single-source...");
-    let odmrp_1 = gain(&seeds, &|v, s| run_mesh_once(&single, v, s));
+    let odmrp_single = WorkloadScenario::from_mesh("single-source", single.clone());
+    let odmrp_1 = gain(&seeds, &|v, s| odmrp_single.run_once(v, s));
     eprintln!("  ODMRP multi-source...");
-    let odmrp_2 = gain(&seeds, &|v, s| run_mesh_once(&multi, v, s));
+    let odmrp_multi = WorkloadScenario::from_mesh("multi-source", multi.clone());
+    let odmrp_2 = gain(&seeds, &|v, s| odmrp_multi.run_once(v, s));
     eprintln!("  tree single-source...");
     let tree_1 = gain(&seeds, &|v, s| run_tree_once(&single, v, s));
     eprintln!("  tree multi-source...");

@@ -50,8 +50,11 @@ impl CliArgs {
                 "--quick" => out.quick = true,
                 "--topologies" | "--runs" => {
                     let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-                    out.topologies =
-                        Some(v.parse().map_err(|_| format!("bad value for {a}: {v}"))?);
+                    let n: usize = v.parse().map_err(|_| format!("bad value for {a}: {v}"))?;
+                    if n == 0 {
+                        return Err(format!("{a} must be at least 1"));
+                    }
+                    out.topologies = Some(n);
                 }
                 "--seed" => {
                     let v = it.next().ok_or("--seed needs a value")?;
@@ -60,8 +63,9 @@ impl CliArgs {
                 "--probe-rate" => {
                     let v = it.next().ok_or("--probe-rate needs a value")?;
                     let r: f64 = v.parse().map_err(|_| format!("bad probe rate: {v}"))?;
-                    if r <= 0.0 {
-                        return Err("probe rate must be positive".into());
+                    // NaN fails `is_finite`; `r <= 0.0` alone lets it through.
+                    if !r.is_finite() || r <= 0.0 {
+                        return Err(format!("probe rate must be positive and finite: {v}"));
                     }
                     out.probe_rate = Some(r);
                 }
@@ -149,12 +153,18 @@ mod tests {
         let a = parse(&["--probe-rate", "5"]).unwrap();
         assert_eq!(a.probe_rate, Some(5.0));
         assert!(parse(&["--probe-rate", "-1"]).is_err());
+        assert!(parse(&["--probe-rate", "0"]).is_err());
+        assert!(parse(&["--probe-rate", "nan"]).is_err());
+        assert!(parse(&["--probe-rate", "inf"]).is_err());
+        assert!(parse(&["--probe-rate", "-inf"]).is_err());
     }
 
     #[test]
     fn unknown_flag_errors() {
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--topologies"]).is_err());
+        assert!(parse(&["--topologies", "0"]).is_err());
+        assert!(parse(&["--runs", "0"]).is_err());
     }
 
     #[test]

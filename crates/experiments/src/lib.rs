@@ -13,14 +13,13 @@
 //! ## Example: a miniature Figure-2 run
 //!
 //! ```no_run
-//! use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
+//! use experiments::runner::{paper_variants, run_matrix, summarize};
 //! use experiments::scenario::MeshScenario;
+//! use experiments::WorkloadScenario;
 //! use odmrp::Variant;
 //!
-//! let scenario = MeshScenario::quick();
-//! let results = run_matrix(&paper_variants(), &[1, 2, 3], |v, s| {
-//!     run_mesh_once(&scenario, v, s)
-//! });
+//! let cell = WorkloadScenario::from_mesh("mini-fig2", MeshScenario::quick());
+//! let results = run_matrix(&paper_variants(), &[1, 2, 3], |v, s| cell.run_once(v, s));
 //! let summaries = summarize(&results, Variant::Original);
 //! println!("{}", experiments::report::throughput_table(
 //!     &summaries, &experiments::paper::FIG2_THROUGHPUT_SIM));
@@ -44,8 +43,8 @@ pub mod trees;
 pub use measure::RunMeasurement;
 pub use recovery::{RecoveryAnalysis, RecoverySpec};
 pub use runner::{
-    paper_variants, run_jobs_supervised, run_matrix, run_matrix_supervised, run_mesh_observed,
-    run_mesh_once, run_testbed_once, summarize, MatrixReport, RunFailure, VariantSummary,
+    paper_variants, run_matrix, run_testbed_once, summarize, MatrixReport, RunFailure,
+    VariantSummary,
 };
 pub use scenario::{GroupSpec, MeshScenario, ScenarioLayout, TestbedScenario};
 pub use scenario_compiler::WorkloadScenario;

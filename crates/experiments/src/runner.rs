@@ -1,7 +1,6 @@
 //! Running variant × topology matrices, in parallel across topologies.
 
-use mesh_sim::fault::FaultPlan;
-use mesh_sim::time::{SimDuration, SimTime};
+use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
 use crate::measure::RunMeasurement;
@@ -33,108 +32,6 @@ pub fn comparison_variants() -> Vec<Variant> {
             .map(Variant::Metric),
     );
     v
-}
-
-/// Run one mesh-scenario simulation to completion and measure it.
-pub fn run_mesh_once(scenario: &MeshScenario, variant: Variant, seed: u64) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build(variant, seed);
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
-}
-
-/// Run one mesh-scenario simulation with `plan` injected and — when
-/// `check_every` is set — the full invariant-oracle suite (world oracles
-/// plus the ODMRP protocol oracles) run at that checkpoint interval.
-/// Panics on any invariant violation.
-pub fn run_mesh_with_faults(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: &FaultPlan,
-    check_every: Option<SimDuration>,
-) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build_with_faults(variant, seed, plan);
-    if let Some(every) = check_every {
-        sim.set_invariant_interval(every);
-        sim.add_oracle(odmrp::invariants::oracle());
-    }
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
-}
-
-/// Run one mesh-scenario simulation with observability attached: an
-/// optional fault `plan`, an optional metrics timeseries with buckets of
-/// `metrics_bucket`, and an optional trace sink. Returns the measurement
-/// (with `timeseries` populated when requested) and the sink, so callers can
-/// downcast a ring buffer or finish a JSONL file.
-///
-/// Observability is observation only: the measurement — including
-/// `schedule_hash` — is bit-identical to [`run_mesh_once`] /
-/// [`run_mesh_with_faults`] for the same `(scenario, variant, seed, plan)`
-/// apart from the attached `timeseries`.
-pub fn run_mesh_observed(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    metrics_bucket: Option<SimDuration>,
-    trace: Option<Box<dyn mesh_sim::trace::TraceSink>>,
-) -> (RunMeasurement, Option<Box<dyn mesh_sim::trace::TraceSink>>) {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = match plan {
-        Some(p) => scenario.build_with_faults(variant, seed, p),
-        None => scenario.build(variant, seed),
-    };
-    if let Some(width) = metrics_bucket {
-        sim.world_mut().set_metrics(width);
-    }
-    if let Some(sink) = trace {
-        sim.world_mut().set_trace(sink);
-    }
-    sim.run_until(scenario.run_until());
-    let mut m = RunMeasurement::from_sim(&sim, &groups, seed);
-    m.timeseries = sim.world_mut().take_metrics();
-    (m, sim.world_mut().take_trace())
-}
-
-/// Run one mesh-scenario simulation instrumented for recovery measurement:
-/// `plan` injected, metrics buckets one refresh interval wide (so
-/// time-to-recover reads in refresh rounds), the full ODMRP oracle suite
-/// checking every refresh interval (including the no-quarantined-route
-/// oracle when the scenario runs degraded), and a sim-time watchdog that
-/// turns a livelocked run into a classifiable panic instead of a hang.
-///
-/// The optional `trace` sink is attached as-is; pass `None` for the
-/// zero-cost path.
-pub fn run_recovery(
-    scenario: &MeshScenario,
-    variant: Variant,
-    seed: u64,
-    plan: &FaultPlan,
-    trace: Option<Box<dyn mesh_sim::trace::TraceSink>>,
-) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let refresh = scenario.odmrp_config(variant).refresh_interval;
-    let mut sim = scenario.build_with_faults(variant, seed, plan);
-    sim.world_mut().set_metrics(refresh);
-    sim.set_invariant_interval(refresh);
-    sim.add_oracle(odmrp::invariants::oracle());
-    // Generous budget: a healthy quick run dispatches well under a million
-    // events per 100 ms of simulated time; only a zero-delay scheduling loop
-    // gets anywhere near this.
-    sim.set_watchdog(mesh_sim::simulator::WatchdogBudget {
-        max_events: 2_000_000,
-        min_progress: SimDuration::from_millis(100),
-    });
-    if let Some(sink) = trace {
-        sim.world_mut().set_trace(sink);
-    }
-    sim.run_until(scenario.run_until());
-    let mut m = RunMeasurement::from_sim(&sim, &groups, seed);
-    m.timeseries = sim.world_mut().take_metrics();
-    m
 }
 
 /// Run one mesh-scenario simulation under the **tree-based** protocol.
@@ -260,7 +157,7 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// Outcome of [`run_matrix_supervised`]: one slot per `(variant, seed)` job
+/// Outcome of [`run_jobs_supervised_resumable`]: one slot per job
 /// in deterministic input order, each either a measurement or a structured
 /// failure — a partial matrix survives individual bad runs.
 #[derive(Debug)]
@@ -321,9 +218,11 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run every `(variant, seed)` pair, parallelized across available cores,
-/// isolating each job with `catch_unwind` so one panicking run cannot
-/// discard the sweep.
+/// The supervised scatter/gather core: run an explicit list of
+/// `(variant, seed)` jobs — which may each mean a *different scenario* (the
+/// sweep harness keys its per-job configs by index) — parallelized across
+/// available cores, isolating each job with `catch_unwind` so one panicking
+/// run cannot discard the sweep.
 ///
 /// A failing job is retried with the **same seed** up to `retries` extra
 /// times (a deterministic panic fails identically; the retry budget exists
@@ -334,56 +233,20 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`mesh_sim::simulator::WatchdogBudget`]) are classified via their stable
 /// panic prefix.
 ///
-/// `run` must be pure: results are collected and re-ordered by input index,
-/// so the output order matches the input order deterministically.
-pub fn run_matrix_supervised<F>(
-    variants: &[Variant],
-    seeds: &[u64],
-    retries: u32,
-    run: F,
-) -> MatrixReport
-where
-    F: Fn(Variant, u64) -> RunMeasurement + Sync,
-{
-    let jobs: Vec<(Variant, u64)> = variants
-        .iter()
-        .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
-        .collect();
-    run_jobs_supervised(&jobs, retries, |_, v, s| run(v, s), |_, _| {})
-}
-
-/// The supervised scatter/gather core: run an explicit list of
-/// `(variant, seed)` jobs — which, unlike [`run_matrix_supervised`]'s
-/// cartesian matrix, may each mean a *different scenario* (the sweep
-/// harness keys its per-job configs by index) — with the same panic
-/// isolation, same-seed retries and watchdog-livelock classification.
+/// Retries are **checkpoint-aware**: every job gets a [`CheckpointSlot`]
+/// that outlives the panic boundary. A job that wires the slot into
+/// `Simulator::checkpoint_every` leaves its last good checkpoint behind
+/// when it panics, and the retry (same closure, same slot) can restore from
+/// it instead of replaying from `t = 0`, as the `sweep` binary does. Each
+/// attempt's starting point (`None` = scratch, `Some(t)` = resumed from the
+/// checkpoint at `t`) is recorded in [`RunFailure::resume_points`]; a job
+/// that ignores its slot always restarts from scratch.
 ///
-/// `run` receives the job index alongside the variant and seed so callers
-/// can look up per-job context. `on_result` is invoked on the calling
-/// thread **in completion order** as each job finishes — the streaming hook
-/// the sweep binary uses to append JSONL while hundreds of runs are still
-/// in flight. The returned report is input-ordered regardless.
-pub fn run_jobs_supervised<F, O>(
-    jobs: &[(Variant, u64)],
-    retries: u32,
-    run: F,
-    on_result: O,
-) -> MatrixReport
-where
-    F: Fn(usize, Variant, u64) -> RunMeasurement + Sync,
-    O: FnMut(usize, &Result<RunMeasurement, RunFailure>),
-{
-    run_jobs_supervised_resumable(jobs, retries, |i, v, s, _slot| run(i, v, s), on_result)
-}
-
-/// [`run_jobs_supervised`] with **checkpoint-aware retries**: every job gets
-/// a [`CheckpointSlot`] that outlives the panic boundary. A job that wires
-/// the slot into `Simulator::checkpoint_every` leaves its last good
-/// checkpoint behind when it panics, and the retry (same closure, same
-/// slot) can restore from it instead of replaying from `t = 0` — see
-/// `WorkloadScenario::run_supervised_resumable`. Each attempt's starting
-/// point (`None` = scratch, `Some(t)` = resumed from the checkpoint at `t`)
-/// is recorded in [`RunFailure::resume_points`].
+/// `run` receives the job index, variant, seed and slot, and must be pure:
+/// results are collected and re-ordered by input index, so the report is
+/// input-ordered. `on_result` is invoked on the calling thread **in
+/// completion order** as each job finishes — the streaming hook the sweep
+/// binary uses to append JSONL while hundreds of runs are still in flight.
 pub fn run_jobs_supervised_resumable<F, O>(
     jobs: &[(Variant, u64)],
     retries: u32,
@@ -490,12 +353,22 @@ where
 /// Panics if any job panicked — but only after the **whole** matrix has
 /// run, with an aggregated summary of every failing `(variant, seed)`
 /// (previously a single panicking run discarded the entire sweep). Callers
-/// that want the salvaged partial matrix use [`run_matrix_supervised`].
+/// that want the salvaged partial matrix use
+/// [`run_jobs_supervised_resumable`].
 pub fn run_matrix<F>(variants: &[Variant], seeds: &[u64], run: F) -> Vec<RunMeasurement>
 where
     F: Fn(Variant, u64) -> RunMeasurement + Sync,
 {
-    run_matrix_supervised(variants, seeds, 0, run).into_measurements()
+    let jobs = matrix(variants, seeds);
+    run_jobs_supervised_resumable(&jobs, 0, |_, v, s, _| run(v, s), |_, _| {}).into_measurements()
+}
+
+/// The cartesian `variants × seeds` job list, variants outer.
+fn matrix(variants: &[Variant], seeds: &[u64]) -> Vec<(Variant, u64)> {
+    variants
+        .iter()
+        .flat_map(|&v| seeds.iter().map(move |&s| (v, s)))
+        .collect()
 }
 
 /// Aggregate of one variant across topologies, normalized to the baseline.
@@ -573,6 +446,7 @@ pub fn summarize(measurements: &[RunMeasurement], baseline: Variant) -> Vec<Vari
 mod tests {
     use super::*;
     use mesh_sim::counters::Counters;
+    use mesh_sim::time::SimDuration;
 
     fn meas(variant: Variant, seed: u64, pdr_milli: u64, delay: f64) -> RunMeasurement {
         RunMeasurement {
@@ -662,13 +536,18 @@ mod tests {
             Variant::Metric(mcast_metrics::MetricKind::Etx),
         ];
         let seeds = [10u64, 20, 30];
-        let report = run_matrix_supervised(&variants, &seeds, 0, |v, s| {
-            assert!(
-                !(v == Variant::Original && s == 20),
-                "injected failure for seed 20"
-            );
-            meas(v, s, s, 0.01)
-        });
+        let report = run_jobs_supervised_resumable(
+            &matrix(&variants, &seeds),
+            0,
+            |_, v, s, _| {
+                assert!(
+                    !(v == Variant::Original && s == 20),
+                    "injected failure for seed 20"
+                );
+                meas(v, s, s, 0.01)
+            },
+            |_, _| {},
+        );
         assert!(!report.is_complete());
         assert_eq!(report.successes().len(), 5);
         let failures = report.failures();
@@ -687,11 +566,16 @@ mod tests {
     #[test]
     fn supervised_matrix_retries_preserve_the_seed() {
         let calls = std::sync::atomic::AtomicU32::new(0);
-        let report = run_matrix_supervised(&[Variant::Original], &[7u64], 2, |_, s| {
-            assert_eq!(s, 7, "retries must re-run the same seed");
-            calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            panic!("always fails");
-        });
+        let report = run_jobs_supervised_resumable(
+            &[(Variant::Original, 7u64)],
+            2,
+            |_, _, s, _| {
+                assert_eq!(s, 7, "retries must re-run the same seed");
+                calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                panic!("always fails");
+            },
+            |_, _| {},
+        );
         assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 3);
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
@@ -700,12 +584,17 @@ mod tests {
 
     #[test]
     fn supervised_matrix_classifies_watchdog_livelocks() {
-        let report = run_matrix_supervised(&[Variant::Original], &[1u64], 0, |_, _| {
-            panic!(
-                "{}42 events dispatched without progress",
-                mesh_sim::simulator::WATCHDOG_PANIC_PREFIX
-            );
-        });
+        let report = run_jobs_supervised_resumable(
+            &[(Variant::Original, 1u64)],
+            0,
+            |_, _, _, _| {
+                panic!(
+                    "{}42 events dispatched without progress",
+                    mesh_sim::simulator::WATCHDOG_PANIC_PREFIX
+                );
+            },
+            |_, _| {},
+        );
         assert!(report.failures()[0].livelock);
     }
 
@@ -719,10 +608,10 @@ mod tests {
             (Variant::Metric(mcast_metrics::MetricKind::Spp), 33),
         ];
         let mut streamed = Vec::new();
-        let report = run_jobs_supervised(
+        let report = run_jobs_supervised_resumable(
             &jobs,
             0,
-            |i, v, s| {
+            |i, v, s, _| {
                 assert_eq!(jobs[i], (v, s), "index must identify the job");
                 meas(v, s, s, 0.01)
             },
@@ -784,14 +673,14 @@ mod tests {
         );
     }
 
-    /// The non-resumable wrapper never resumes, so its failures read as
+    /// A job that never checkpoints never resumes, so its failures read as
     /// plain scratch retries (and the legacy `[livelock]` tag survives).
     #[test]
     fn plain_supervised_failures_are_all_scratch() {
-        let report = run_jobs_supervised(
+        let report = run_jobs_supervised_resumable(
             &[(Variant::Original, 1u64)],
             1,
-            |_, _, _| {
+            |_, _, _, _| {
                 panic!(
                     "{}stuck from the start",
                     mesh_sim::simulator::WATCHDOG_PANIC_PREFIX

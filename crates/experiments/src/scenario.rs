@@ -1,7 +1,6 @@
 //! Scenario construction: the paper's simulation and testbed setups.
 
 use mcast_metrics::EstimatorConfig;
-use mesh_sim::fault::{FaultPlan, RandomFaultConfig};
 use mesh_sim::geometry::Area;
 use mesh_sim::ids::{GroupId, NodeId};
 use mesh_sim::mac::MacParams;
@@ -15,7 +14,9 @@ use mesh_sim::world::WorldConfig;
 use odmrp::{CbrSource, NodeRole, OdmrpConfig, OdmrpNode, Variant};
 use testbed::TestbedMedium;
 
-/// The 50-node random-mesh scenario of §4.1.
+/// The 50-node random-mesh scenario of §4.1. Wrap it with
+/// [`WorkloadScenario::from_mesh`](crate::WorkloadScenario::from_mesh) to
+/// build and run ODMRP cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeshScenario {
     /// Number of nodes (paper: 50).
@@ -153,48 +154,6 @@ impl MeshScenario {
             ..PhyParams::default()
         };
         Box::new(PhysicalMedium::new(phy).with_indexing(self.indexed_medium))
-    }
-
-    /// Draw a random but fully deterministic fault plan for topology `seed`:
-    /// crashes, link faults and possibly a partition inside the data window,
-    /// scaled by `intensity` in `[0, 1]`. Sources are protected — crashing
-    /// the only traffic generator makes every delivery measurement vacuous —
-    /// and faults clear before the run ends so recovery is observable.
-    pub fn random_fault_plan(&self, seed: u64, intensity: f64) -> FaultPlan {
-        let layout = self.layout(seed);
-        let protected: Vec<NodeId> = layout
-            .groups
-            .iter()
-            .flat_map(|g| g.sources.iter().copied())
-            .collect();
-        let margin = SimDuration::from_secs(5);
-        let mut cfg =
-            RandomFaultConfig::new(self.nodes, (self.data_start + margin, self.data_stop));
-        cfg.protected = protected;
-        cfg.intensity = intensity;
-        cfg.area_width_m = Some(self.area_side);
-        // Decorrelate the plan from the topology and MAC streams.
-        let mut rng = SimRng::seed_from(seed ^ 0xFA17_0000);
-        FaultPlan::random(&cfg, &mut rng)
-    }
-
-    /// Build a ready-to-run simulator for `variant` on topology `seed` with
-    /// `plan` attached.
-    pub fn build_with_faults(
-        &self,
-        variant: Variant,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Simulator<OdmrpNode> {
-        let mut sim = self.build(variant, seed);
-        sim.set_fault_plan(plan.clone());
-        sim
-    }
-
-    /// Build a ready-to-run simulator for `variant` on topology `seed`.
-    pub fn build(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
-        let layout = self.layout(seed);
-        build_simulator(layout, self.phy_medium(), self.odmrp_config(variant), seed)
     }
 
     /// Build a simulator running the **tree-based** protocol (`maodv`) for
@@ -510,7 +469,7 @@ mod tests {
             Variant::Original,
             Variant::Metric(mcast_metrics::MetricKind::Spp),
         ] {
-            let sim = s.build(v, 1);
+            let sim = crate::WorkloadScenario::from_mesh("quick", s.clone()).build(v, 1);
             assert_eq!(sim.protocols().len(), s.nodes);
         }
     }

@@ -8,9 +8,13 @@
 //! Rust constructors and the TOML compiler both produce this struct, and
 //! every derived artifact (layout, simulator, fault plan) is a pure function
 //! of the struct plus `(variant, seed)` — so two equal `WorkloadScenario`s
-//! are guaranteed to run bit-identically, and a `WorkloadScenario` with all
-//! extensions off runs bit-identically to its inner [`MeshScenario`]
-//! (asserted by the compile-equivalence suite).
+//! are guaranteed to run bit-identically (asserted by the
+//! compile-equivalence suite).
+//!
+//! It is also the one way to build and run an ODMRP mesh cell: the paper's
+//! runners wrap their [`MeshScenario`] with [`WorkloadScenario::from_mesh`]
+//! and call [`WorkloadScenario::run_once`] or, to attach supervision,
+//! faults, observers or checkpoints, [`WorkloadScenario::run_with`].
 
 use mesh_sim::fault::{FaultPlan, RandomFaultConfig};
 use mesh_sim::geometry::Area;
@@ -23,7 +27,6 @@ use mesh_sim::topology;
 use odmrp::{CbrSource, MembershipWindow, OdmrpNode, Variant};
 
 use crate::measure::RunMeasurement;
-use crate::runner::CheckpointSlot;
 use crate::scenario::{build_simulator, draw_layout, MeshScenario, ScenarioLayout};
 
 /// How nodes are placed.
@@ -221,7 +224,7 @@ pub fn metro_side(nodes: usize, side_per_50: f64) -> f64 {
 
 impl WorkloadScenario {
     /// Wrap a plain [`MeshScenario`]: random topology, steady CBR, no
-    /// churn/mobility/faults. Runs bit-identically to `mesh` itself.
+    /// churn/mobility/faults — the paper's cell.
     pub fn from_mesh(name: &str, mesh: MeshScenario) -> Self {
         WorkloadScenario {
             name: name.to_string(),
@@ -719,9 +722,11 @@ impl WorkloadScenario {
             .push((NodeId::new(node as u32), expected));
     }
 
-    /// The seeded random fault plan (sources protected, faults clear before
-    /// the run ends) — the [`MeshScenario::random_fault_plan`] procedure
-    /// over this workload's layout and area.
+    /// Draw a random but fully deterministic fault plan for topology `seed`:
+    /// crashes, link faults and possibly a partition inside the data window,
+    /// scaled by `intensity` in `[0, 1]`. Sources are protected — crashing
+    /// the only traffic generator makes every delivery measurement vacuous —
+    /// and faults clear before the run ends so recovery is observable.
     pub fn random_fault_plan(&self, seed: u64, intensity: f64) -> FaultPlan {
         let layout = self.layout(seed);
         let protected: Vec<NodeId> = layout
@@ -737,6 +742,7 @@ impl WorkloadScenario {
         cfg.protected = protected;
         cfg.intensity = intensity;
         cfg.area_width_m = Some(self.mesh.area_side);
+        // Decorrelate the plan from the topology and MAC streams.
         let mut rng = SimRng::seed_from(seed ^ 0xFA17_0000);
         FaultPlan::random(&cfg, &mut rng)
     }
@@ -801,21 +807,46 @@ impl WorkloadScenario {
 
     /// Run one `(variant, seed)` job to completion and measure it.
     pub fn run_once(&self, variant: Variant, seed: u64) -> RunMeasurement {
-        let groups = self.layout(seed).groups;
-        let mut sim = self.build(variant, seed);
-        sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
+        self.run_with(variant, seed, |_| {}).0
     }
 
-    /// Run one job under full supervision: the ODMRP + world invariant
-    /// oracles checked every refresh interval, and the sim-time watchdog
-    /// that turns a livelocked run into a classifiable panic — the shape
-    /// `run_matrix_supervised` expects from sweep jobs.
-    pub fn run_supervised(&self, variant: Variant, seed: u64) -> RunMeasurement {
+    /// The one way to run a cell: [`build`](Self::build) it, let `attach`
+    /// wire observers and controls through the simulator's own setters
+    /// (`supervise`, `set_fault_plan`, `world_mut().set_metrics` /
+    /// `set_trace`, `restore`, `checkpoint_every`), run to
+    /// [`run_until`](Self::run_until) and measure. The measurement carries
+    /// the metrics timeseries when a recorder was attached; the finished
+    /// simulator is returned so callers can take a trace sink or inspect
+    /// per-node state.
+    pub fn run_with(
+        &self,
+        variant: Variant,
+        seed: u64,
+        attach: impl FnOnce(&mut Simulator<OdmrpNode>),
+    ) -> (RunMeasurement, Simulator<OdmrpNode>) {
         let groups = self.layout(seed).groups;
-        let mut sim = self.supervised_sim(variant, seed);
+        let mut sim = self.build(variant, seed);
+        attach(&mut sim);
         sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
+        let mut m = RunMeasurement::from_sim(&sim, &groups, seed);
+        m.timeseries = sim.world_mut().take_metrics();
+        (m, sim)
+    }
+
+    /// Put `sim` under the one supervision policy: the ODMRP + world
+    /// invariant oracles checked every refresh interval, and the sim-time
+    /// watchdog that turns a livelocked run into a classifiable panic for
+    /// `run_jobs_supervised_resumable`. The budget is far above any healthy
+    /// cell (a paper-scale run dispatches well under a million events per
+    /// 100 ms of simulated time); only a zero-delay scheduling loop reaches
+    /// it.
+    pub fn supervise(&self, sim: &mut Simulator<OdmrpNode>, variant: Variant) {
+        sim.set_invariant_interval(self.mesh.odmrp_config(variant).refresh_interval);
+        sim.add_oracle(odmrp::invariants::oracle());
+        sim.set_watchdog(mesh_sim::simulator::WatchdogBudget {
+            max_events: 20_000_000,
+            min_progress: SimDuration::from_millis(100),
+        });
     }
 
     /// The snapshot-header fingerprint of one `(scenario, variant, seed)`
@@ -835,69 +866,6 @@ impl WorkloadScenario {
         fold(format!("{variant:?}").as_bytes());
         fold(&seed.to_le_bytes());
         h
-    }
-
-    fn supervised_sim(&self, variant: Variant, seed: u64) -> Simulator<OdmrpNode> {
-        let refresh = self.mesh.odmrp_config(variant).refresh_interval;
-        let mut sim = self.build(variant, seed);
-        sim.set_invariant_interval(refresh);
-        sim.add_oracle(odmrp::invariants::oracle());
-        sim.set_watchdog(mesh_sim::simulator::WatchdogBudget {
-            max_events: 20_000_000,
-            min_progress: SimDuration::from_millis(100),
-        });
-        sim
-    }
-
-    /// [`WorkloadScenario::run_supervised`] with **checkpoint/restore**: if
-    /// `slot` holds a checkpoint (left behind by a previous panicking
-    /// attempt), the run resumes from it instead of replaying from `t = 0`;
-    /// either way the run checkpoints into `slot` every quarter of the
-    /// simulated horizon. Resume is exact — the deterministic-resume
-    /// contract guarantees the resumed run's `schedule_hash`, counters and
-    /// timeseries are bit-identical to an uninterrupted run.
-    ///
-    /// A checkpoint that fails to restore (fingerprint mismatch, truncation)
-    /// is discarded and the run falls back to a fresh start.
-    pub fn run_supervised_resumable(
-        &self,
-        variant: Variant,
-        seed: u64,
-        slot: &CheckpointSlot,
-    ) -> RunMeasurement {
-        self.run_supervised_checkpointed(variant, seed, slot, |_, _| {})
-    }
-
-    /// [`WorkloadScenario::run_supervised_resumable`] with an extra
-    /// `persist` hook invoked after each checkpoint lands in `slot` — the
-    /// sweep binary uses it to mirror checkpoints to disk so a SIGKILLed
-    /// sweep can resume mid-cell in a fresh process.
-    pub fn run_supervised_checkpointed(
-        &self,
-        variant: Variant,
-        seed: u64,
-        slot: &CheckpointSlot,
-        mut persist: impl FnMut(SimTime, &[u8]) + Send + 'static,
-    ) -> RunMeasurement {
-        let groups = self.layout(seed).groups;
-        let fp = self.fingerprint(variant, seed);
-        let mut sim = self.supervised_sim(variant, seed);
-        if let Some((_, bytes)) = slot.get() {
-            if sim.restore(&bytes, fp).is_err() {
-                // Stale or foreign checkpoint: discard it and rebuild (the
-                // restore may have half-overwritten the simulator).
-                slot.clear();
-                sim = self.supervised_sim(variant, seed);
-            }
-        }
-        let sink_slot = slot.clone();
-        let every = SimDuration::from_nanos((self.run_until().as_nanos() / 4).max(1));
-        sim.checkpoint_every(every, fp, move |at, bytes| {
-            persist(at, &bytes);
-            sink_slot.store(at, bytes);
-        });
-        sim.run_until(self.run_until());
-        RunMeasurement::from_sim(&sim, &groups, seed)
     }
 }
 

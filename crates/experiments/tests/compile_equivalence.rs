@@ -9,7 +9,6 @@
 //! A proptest then closes the loop from the other side: randomized
 //! scenarios round-trip through `to_toml` → `parse` → `compile` unchanged.
 
-use experiments::runner::run_mesh_once;
 use experiments::scenario::MeshScenario;
 use experiments::scenario_compiler::{
     compile, to_toml, ChurnSpec, CompiledScenario, FaultSpec, FaultWindow, MobilitySpec, SweepSpec,
@@ -143,9 +142,10 @@ fn city_churn_twin_replays_bit_identically_with_churn_active() {
 
 #[test]
 fn wrapped_mesh_replays_bit_identically_to_the_plain_scenario() {
-    // The wrapper is an alternate front-end, not a second semantics: a
-    // plain MeshScenario run through the workload pipeline produces the
-    // exact event stream of the original `run_mesh_once` path.
+    // The wrapper is the only way to run a plain MeshScenario, so it is
+    // pinned to the event stream the plain-mesh runner produced before
+    // the two paths were merged: same `schedule_hash`, event count and
+    // deliveries, cell for cell.
     let mesh = MeshScenario {
         nodes: 14,
         area_side: 500.0,
@@ -155,17 +155,22 @@ fn wrapped_mesh_replays_bit_identically_to_the_plain_scenario() {
         data_stop: SimTime::from_secs(40),
         ..MeshScenario::paper_default()
     };
-    for (variant, seed) in [
-        (Variant::Original, 7),
-        (Variant::Metric(mcast_metrics::MetricKind::Etx), 8),
+    for (variant, seed, hash, events, delivered) in [
+        (Variant::Original, 7, 0x2044_5d0f_d7e0_be37, 35_786, 1_479),
+        (
+            Variant::Metric(mcast_metrics::MetricKind::Etx),
+            8,
+            0xac11_09f3_ee7d_fa84,
+            132_462,
+            1_617,
+        ),
     ] {
-        let plain = run_mesh_once(&mesh, variant, seed);
         let wrapped = WorkloadScenario::from_mesh("wrap", mesh.clone())
             .validated()
             .run_once(variant, seed);
-        assert_eq!(plain.schedule_hash, wrapped.schedule_hash);
-        assert_eq!(plain.counters, wrapped.counters);
-        assert_eq!(plain.delivered, wrapped.delivered);
+        assert_eq!(wrapped.schedule_hash, hash, "{variant:?} seed {seed}");
+        assert_eq!(wrapped.counters.events, events, "{variant:?} seed {seed}");
+        assert_eq!(wrapped.delivered, delivered, "{variant:?} seed {seed}");
     }
 }
 

@@ -15,16 +15,16 @@
 //!   run explicitly — in release mode — by the CI fault/golden job.
 
 use experiments::report::{overhead_shape_failures, throughput_shape_failures};
-use experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize, VariantSummary};
+use experiments::runner::{paper_variants, run_matrix, summarize, VariantSummary};
 use experiments::scenario::MeshScenario;
+use experiments::WorkloadScenario;
 use mcast_metrics::MetricKind;
 use mesh_sim::time::SimTime;
 use odmrp::Variant;
 
 fn summaries_for(scenario: &MeshScenario, seeds: &[u64]) -> Vec<VariantSummary> {
-    let results = run_matrix(&paper_variants(), seeds, |v, s| {
-        run_mesh_once(scenario, v, s)
-    });
+    let cell = WorkloadScenario::from_mesh("golden", scenario.clone());
+    let results = run_matrix(&paper_variants(), seeds, |v, s| cell.run_once(v, s));
     summarize(&results, Variant::Original)
 }
 

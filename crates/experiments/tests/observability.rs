@@ -4,8 +4,8 @@
 //! `schedule_hash` — and the trace itself must be complete: every planned
 //! data arrival appears as exactly one `rx_start` with a terminal outcome.
 
-use experiments::runner::{run_mesh_observed, run_mesh_once};
 use experiments::scenario::MeshScenario;
+use experiments::scenario_compiler::{FaultSpec, FaultWindow, WorkloadScenario};
 use mesh_sim::fault::{FaultKind, FaultPlan};
 use mesh_sim::ids::NodeId;
 use mesh_sim::time::{SimDuration, SimTime};
@@ -13,31 +13,39 @@ use mesh_sim::trace::{DropReason, JsonlTrace, RingTrace, TraceEvent, TraceEventK
 use odmrp::Variant;
 
 /// The determinism-suite scenario: small but exercises probing, join
-/// floods, CBR data and (with the plan below) every fault code path.
-fn tiny() -> MeshScenario {
-    MeshScenario {
-        nodes: 25,
-        area_side: 700.0,
-        data_start: SimTime::from_secs(5),
-        data_stop: SimTime::from_secs(10),
-        ..MeshScenario::paper_default()
-    }
+/// floods and CBR data.
+fn tiny() -> WorkloadScenario {
+    WorkloadScenario::from_mesh(
+        "tiny",
+        MeshScenario {
+            nodes: 25,
+            area_side: 700.0,
+            data_start: SimTime::from_secs(5),
+            data_stop: SimTime::from_secs(10),
+            ..MeshScenario::paper_default()
+        },
+    )
 }
 
-fn plan() -> FaultPlan {
-    FaultPlan::new()
-        .crash_window(NodeId::new(3), SimTime::from_secs(6), SimTime::from_secs(8))
-        .at(
-            SimTime::from_secs(7),
-            FaultKind::ClassLossBurst {
+/// [`tiny`] with a crash and a class-loss burst, so every fault code path
+/// runs too.
+fn faulted() -> WorkloadScenario {
+    WorkloadScenario {
+        faults: FaultSpec::Windows(vec![
+            FaultWindow::Crash {
+                node: 3,
+                from: SimTime::from_secs(6),
+                to: SimTime::from_secs(8),
+            },
+            FaultWindow::ClassLoss {
                 class: 0,
                 drop: 0.3,
+                from: SimTime::from_secs(7),
+                to: SimTime::from_secs(9),
             },
-        )
-        .at(
-            SimTime::from_secs(9),
-            FaultKind::ClassLossClear { class: 0 },
-        )
+        ]),
+        ..tiny()
+    }
 }
 
 fn temp_jsonl(tag: &str) -> std::path::PathBuf {
@@ -49,36 +57,45 @@ fn temp_jsonl(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn tracing_off_ring_and_file_are_bit_identical() {
-    let scenario = tiny();
+    let cell = faulted();
+    let v = Variant::Original;
     let seed = 7;
-    let p = plan();
 
-    let baseline = run_mesh_once(&scenario, Variant::Original, seed);
-    let (off, _) = run_mesh_observed(&scenario, Variant::Original, seed, Some(&p), None, None);
-    let (ring, ring_sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        Some(SimDuration::from_secs(2)),
-        Some(Box::new(RingTrace::new(1 << 20))),
-    );
+    let baseline = tiny().run_once(v, seed);
+    let off = cell.run_once(v, seed);
+    let (ring, mut ring_sim) = cell.run_with(v, seed, |sim| {
+        sim.world_mut().set_metrics(SimDuration::from_secs(2));
+        sim.world_mut().set_trace(Box::new(RingTrace::new(1 << 20)));
+    });
     let path = temp_jsonl("observer");
-    let (file, file_sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        None,
-        Some(Box::new(JsonlTrace::create(&path).expect("create temp"))),
-    );
+    let (file, mut file_sim) = cell.run_with(v, seed, |sim| {
+        sim.world_mut()
+            .set_trace(Box::new(JsonlTrace::create(&path).expect("create temp")));
+    });
+    // Everything at once: supervision, metrics, a ring trace and periodic
+    // checkpoints, all attached through the simulator's own setters.
+    let checkpoints = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let (all, mut all_sim) = cell.run_with(v, seed, |sim| {
+        cell.supervise(sim, v);
+        sim.world_mut().set_metrics(SimDuration::from_secs(1));
+        sim.world_mut().set_trace(Box::new(RingTrace::new(1 << 20)));
+        let seen = std::sync::Arc::clone(&checkpoints);
+        sim.checkpoint_every(
+            SimDuration::from_secs(3),
+            cell.fingerprint(v, seed),
+            move |_, bytes| {
+                assert!(!bytes.is_empty());
+                seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            },
+        );
+    });
 
     // The fault plan really changed the run (otherwise the comparison is
     // weaker than it looks).
     assert_ne!(baseline.schedule_hash, off.schedule_hash);
     assert!(off.counters.fault_events > 0);
 
-    for (label, m) in [("ring", &ring), ("file", &file)] {
+    for (label, m) in [("ring", &ring), ("file", &file), ("all", &all)] {
         assert_eq!(
             off.schedule_hash, m.schedule_hash,
             "{label} sink perturbed the event schedule"
@@ -94,14 +111,22 @@ fn tracing_off_ring_and_file_are_bit_identical() {
     }
 
     // The sinks actually observed the run.
-    let ring_sink = ring_sink.expect("ring sink returned");
-    let ring_ref: &RingTrace = ring_sink.as_any().downcast_ref().expect("RingTrace");
-    assert!(!ring_ref.is_empty(), "ring sink saw no events");
-    let ts = ring.timeseries.as_ref().expect("timeseries recorded");
-    assert!(!ts.buckets.is_empty());
-    assert!(ts.buckets.iter().all(|b| b.throughput_bps().is_finite()));
+    for (label, sim, m) in [("ring", &mut ring_sim, &ring), ("all", &mut all_sim, &all)] {
+        let sink = sim.world_mut().take_trace().expect("ring sink returned");
+        let ring_ref: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
+        assert!(!ring_ref.is_empty(), "{label}: ring sink saw no events");
+        let ts = m.timeseries.as_ref().expect("timeseries recorded");
+        assert!(!ts.buckets.is_empty());
+        assert!(ts.buckets.iter().all(|b| b.throughput_bps().is_finite()));
+    }
+    // The baseline variant sends no probes, so the first event is the 5 s
+    // data start; checkpoints follow every 3 s until the 12 s horizon.
+    assert_eq!(checkpoints.load(std::sync::atomic::Ordering::Relaxed), 2);
 
-    let mut file_sink = file_sink.expect("file sink returned");
+    let mut file_sink = file_sim
+        .world_mut()
+        .take_trace()
+        .expect("file sink returned");
     let jsonl: &mut JsonlTrace = file_sink.as_any_mut().downcast_mut().expect("JsonlTrace");
     let lines = jsonl.finish().expect("flush trace file");
     assert!(lines > 0, "file sink wrote nothing");
@@ -118,16 +143,10 @@ fn tracing_off_ring_and_file_are_bit_identical() {
 /// `delivered` or `rx_drop` — mirroring the counter-conservation oracle.
 #[test]
 fn every_planned_arrival_has_one_rx_start_and_one_terminal() {
-    let scenario = tiny();
-    let (m, sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        11,
-        Some(&plan()),
-        None,
-        Some(Box::new(RingTrace::new(1 << 22))),
-    );
-    let sink = sink.expect("sink returned");
+    let (m, mut sim) = faulted().run_with(Variant::Original, 11, |sim| {
+        sim.world_mut().set_trace(Box::new(RingTrace::new(1 << 22)));
+    });
+    let sink = sim.world_mut().take_trace().expect("sink returned");
     let ring: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
     assert!(
         (ring.len() as u64) < (1 << 22),
@@ -189,14 +208,10 @@ fn all_sources_blacked_out_reports_finite_values() {
     for s in sources {
         p = p.at(SimTime::from_secs(1), FaultKind::NodeCrash(s));
     }
-    let (m, _) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        seed,
-        Some(&p),
-        Some(SimDuration::from_secs(5)),
-        None,
-    );
+    let (m, _) = scenario.run_with(Variant::Original, seed, |sim| {
+        sim.set_fault_plan(p);
+        sim.world_mut().set_metrics(SimDuration::from_secs(5));
+    });
     assert_eq!(m.delivered, 0, "crashed sources still delivered data");
     assert!(m.pdr().is_finite());
     assert_eq!(m.pdr(), 0.0);
@@ -213,15 +228,9 @@ fn all_sources_blacked_out_reports_finite_values() {
 /// protocol-reported deliveries.
 #[test]
 fn timeseries_buckets_sum_to_run_totals() {
-    let scenario = tiny();
-    let (m, _) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        3,
-        None,
-        Some(SimDuration::from_secs(1)),
-        None,
-    );
+    let (m, _) = tiny().run_with(Variant::Original, 3, |sim| {
+        sim.world_mut().set_metrics(SimDuration::from_secs(1));
+    });
     let ts = m.timeseries.as_ref().expect("timeseries recorded");
     let rx_frames: u64 = ts.buckets.iter().map(|b| b.rx_data_frames).sum();
     let total_counter_rx: u64 = m.counters.rx_data.iter().map(|c| c.frames).sum();
@@ -236,16 +245,10 @@ fn timeseries_buckets_sum_to_run_totals() {
 /// Drop reasons recorded in the trace agree with the loss counters.
 #[test]
 fn drop_histogram_matches_loss_counters() {
-    let scenario = tiny();
-    let (m, sink) = run_mesh_observed(
-        &scenario,
-        Variant::Original,
-        13,
-        None,
-        None,
-        Some(Box::new(RingTrace::new(1 << 22))),
-    );
-    let sink = sink.expect("sink returned");
+    let (m, mut sim) = tiny().run_with(Variant::Original, 13, |sim| {
+        sim.world_mut().set_trace(Box::new(RingTrace::new(1 << 22)));
+    });
+    let sink = sim.world_mut().take_trace().expect("sink returned");
     let ring: &RingTrace = sink.as_any().downcast_ref().expect("RingTrace");
     let count = |r: DropReason| {
         ring.events()

@@ -19,8 +19,8 @@ pub type CheckpointSink = Box<dyn FnMut(SimTime, Vec<u8>) + Send>;
 pub type Oracle<P> = Box<dyn FnMut(&World<<P as Protocol>::Msg>, &[P]) -> Vec<String> + Send>;
 
 /// Stable prefix of the panic message raised by the sim-time watchdog, so
-/// supervisors (`run_matrix_supervised`) can classify a livelock apart from
-/// any other panic.
+/// supervisors (`run_jobs_supervised_resumable`) can classify a livelock
+/// apart from any other panic.
 pub const WATCHDOG_PANIC_PREFIX: &str = "sim-time watchdog: ";
 
 /// Livelock budget for [`Simulator::set_watchdog`].

@@ -9,29 +9,29 @@
 //! Run with: `cargo run --release --example mobile_manet`
 
 use wmm::experiments::scenario::MeshScenario;
-use wmm::experiments::RunMeasurement;
+use wmm::experiments::{RunMeasurement, WorkloadScenario};
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::geometry::Area;
 use wmm::mesh_sim::mobility::RandomWaypoint;
 use wmm::mesh_sim::time::{SimDuration, SimTime};
 use wmm::odmrp::Variant;
 
-fn run(scenario: &MeshScenario, variant: Variant, seed: u64, mobile: bool) -> RunMeasurement {
-    let groups = scenario.layout(seed).groups;
-    let mut sim = scenario.build(variant, seed);
-    if mobile {
-        sim.set_mobility(Box::new(
-            RandomWaypoint::new(
-                Area::square(scenario.area_side),
-                1.0,
-                5.0, // pedestrian-to-bike speeds
-                SimDuration::from_secs(10),
-            )
-            .with_tick(SimDuration::from_millis(500)),
-        ));
-    }
-    sim.run_until(scenario.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
+fn run(cell: &WorkloadScenario, variant: Variant, seed: u64, mobile: bool) -> RunMeasurement {
+    let side = cell.mesh.area_side;
+    cell.run_with(variant, seed, |sim| {
+        if mobile {
+            sim.set_mobility(Box::new(
+                RandomWaypoint::new(
+                    Area::square(side),
+                    1.0,
+                    5.0, // pedestrian-to-bike speeds
+                    SimDuration::from_secs(10),
+                )
+                .with_tick(SimDuration::from_millis(500)),
+            ));
+        }
+    })
+    .0
 }
 
 fn main() {
@@ -39,6 +39,7 @@ fn main() {
     scenario.groups = 1;
     scenario.members_per_group = 8;
     scenario.data_stop = SimTime::from_secs(200);
+    let cell = WorkloadScenario::from_mesh("mobile-manet", scenario);
 
     println!(
         "{:<22} {:>10} {:>10} {:>10}",
@@ -49,8 +50,8 @@ fn main() {
         let mut spp = 0.0;
         let seeds = [3u64, 4, 5];
         for &s in &seeds {
-            base += run(&scenario, Variant::Original, s, mobile).pdr();
-            spp += run(&scenario, Variant::Metric(MetricKind::Spp), s, mobile).pdr();
+            base += run(&cell, Variant::Original, s, mobile).pdr();
+            spp += run(&cell, Variant::Metric(MetricKind::Spp), s, mobile).pdr();
         }
         base /= seeds.len() as f64;
         spp /= seeds.len() as f64;

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use wmm::experiments::scenario::MeshScenario;
-use wmm::experiments::{run_mesh_once, RunMeasurement};
+use wmm::experiments::{RunMeasurement, WorkloadScenario};
 use wmm::mcast_metrics::MetricKind;
 use wmm::odmrp::Variant;
 
@@ -21,9 +21,10 @@ fn main() {
         scenario.nodes, scenario.area_side
     );
 
+    let cell = WorkloadScenario::from_mesh("quickstart", scenario);
     let seed = 7;
-    let original: RunMeasurement = run_mesh_once(&scenario, Variant::Original, seed);
-    let spp = run_mesh_once(&scenario, Variant::Metric(MetricKind::Spp), seed);
+    let original: RunMeasurement = cell.run_once(Variant::Original, seed);
+    let spp = cell.run_once(Variant::Metric(MetricKind::Spp), seed);
 
     println!(
         "{:<12} {:>8} {:>12} {:>12}",

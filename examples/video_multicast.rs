@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example video_multicast`
 
 use wmm::experiments::scenario::MeshScenario;
+use wmm::experiments::WorkloadScenario;
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::time::SimTime;
 use wmm::odmrp::Variant;
@@ -21,8 +22,9 @@ fn main() {
     scenario.data_start = SimTime::from_secs(30);
     scenario.data_stop = SimTime::from_secs(330);
 
+    let cell = WorkloadScenario::from_mesh("video-webcast", scenario);
     let seed = 11;
-    let layout = scenario.layout(seed);
+    let layout = cell.layout(seed);
     let group = &layout.groups[0];
     println!(
         "video webcast: source {} -> {} subscribers, 300s of 80kbps CBR\n",
@@ -38,8 +40,7 @@ fn main() {
         "variant", "mean PDR", "worst sub", "watchable (>90%)"
     );
     for v in variants {
-        let mut sim = scenario.build(v, seed);
-        sim.run_until(scenario.run_until());
+        let (_, sim) = cell.run_with(v, seed, |_| {});
         let nodes = sim.protocols();
         let sent = nodes[group.sources[0].index()]
             .stats()

@@ -1,14 +1,14 @@
 //! Cross-crate integration tests: metrics + ODMRP + simulator + testbed
 //! model + experiment harness, exercised through the umbrella crate.
 
-use wmm::experiments::runner::{paper_variants, run_matrix, run_mesh_once, summarize};
+use wmm::experiments::runner::{paper_variants, run_matrix, summarize};
 use wmm::experiments::scenario::{MeshScenario, TestbedScenario};
-use wmm::experiments::{run_testbed_once, RunMeasurement};
+use wmm::experiments::{run_testbed_once, RunMeasurement, WorkloadScenario};
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::time::SimTime;
 use wmm::odmrp::Variant;
 
-fn tiny_mesh() -> MeshScenario {
+fn tiny_mesh() -> WorkloadScenario {
     let mut s = MeshScenario::quick();
     s.nodes = 20;
     s.area_side = 600.0;
@@ -16,7 +16,7 @@ fn tiny_mesh() -> MeshScenario {
     s.members_per_group = 5;
     s.data_start = SimTime::from_secs(15);
     s.data_stop = SimTime::from_secs(75);
-    s
+    WorkloadScenario::from_mesh("tiny", s)
 }
 
 #[test]
@@ -26,8 +26,8 @@ fn spp_beats_original_on_average() {
     let mut orig = 0.0;
     let mut spp = 0.0;
     for &seed in &seeds {
-        orig += run_mesh_once(&s, Variant::Original, seed).pdr();
-        spp += run_mesh_once(&s, Variant::Metric(MetricKind::Spp), seed).pdr();
+        orig += s.run_once(Variant::Original, seed).pdr();
+        spp += s.run_once(Variant::Metric(MetricKind::Spp), seed).pdr();
     }
     assert!(
         spp > orig,
@@ -41,7 +41,7 @@ fn spp_beats_original_on_average() {
 fn every_variant_delivers_something() {
     let s = tiny_mesh();
     for v in paper_variants() {
-        let m = run_mesh_once(&s, v, 5);
+        let m = s.run_once(v, 5);
         assert!(
             m.pdr() > 0.1,
             "{v}: PDR {:.3} suspiciously low — protocol broken?",
@@ -60,7 +60,7 @@ fn probe_overhead_ordering_matches_table1() {
     // Pair-probing metrics (PP, ETT) must pay several times the overhead of
     // single-probe metrics (ETX, METX, SPP); the baseline pays none.
     let s = tiny_mesh();
-    let get = |v: Variant| run_mesh_once(&s, v, 9).probe_overhead_pct;
+    let get = |v: Variant| s.run_once(v, 9).probe_overhead_pct;
     let none = get(Variant::Original);
     let etx = get(Variant::Metric(MetricKind::Etx));
     let spp = get(Variant::Metric(MetricKind::Spp));
@@ -79,7 +79,7 @@ fn experiment_matrix_is_deterministic() {
         let r = run_matrix(
             &[Variant::Original, Variant::Metric(MetricKind::Metx)],
             &[4, 5],
-            |v, seed| run_mesh_once(&s, v, seed),
+            |v, seed| s.run_once(v, seed),
         );
         r.iter().map(|m| (m.delivered, m.sent)).collect::<Vec<_>>()
     };
@@ -92,7 +92,7 @@ fn summaries_normalize_against_baseline() {
     let results: Vec<RunMeasurement> = run_matrix(
         &[Variant::Original, Variant::Metric(MetricKind::Spp)],
         &[1, 2],
-        |v, seed| run_mesh_once(&s, v, seed),
+        |v, seed| s.run_once(v, seed),
     );
     let summ = summarize(&results, Variant::Original);
     let base = summ

@@ -159,7 +159,7 @@ fn compiled_multi_group_churn_passes_oracles_and_credits_windows() {
         (Variant::Original, 1),
         (Variant::Metric(MetricKind::Ett), 1),
     ] {
-        let m = w.run_supervised(variant, seed);
+        let (m, _) = w.run_with(variant, seed, |sim| w.supervise(sim, variant));
         assert!(m.sent > 0, "{variant:?}: no data sent");
         assert!(m.delivered > 0, "{variant:?}: nothing delivered");
         assert!(

@@ -2,14 +2,14 @@
 //! topology changes under it.
 
 use wmm::experiments::scenario::MeshScenario;
-use wmm::experiments::RunMeasurement;
+use wmm::experiments::{RunMeasurement, WorkloadScenario};
 use wmm::mcast_metrics::MetricKind;
 use wmm::mesh_sim::geometry::Area;
 use wmm::mesh_sim::mobility::{RandomWaypoint, Static};
 use wmm::mesh_sim::time::{SimDuration, SimTime};
 use wmm::odmrp::Variant;
 
-fn scenario() -> MeshScenario {
+fn scenario() -> WorkloadScenario {
     let mut s = MeshScenario::quick();
     s.nodes = 20;
     s.area_side = 600.0;
@@ -17,22 +17,20 @@ fn scenario() -> MeshScenario {
     s.members_per_group = 5;
     s.data_start = SimTime::from_secs(15);
     s.data_stop = SimTime::from_secs(90);
-    s
+    WorkloadScenario::from_mesh("mobility", s)
 }
 
 fn run(mobile: Option<(f64, f64)>, variant: Variant, seed: u64) -> RunMeasurement {
     let s = scenario();
-    let groups = s.layout(seed).groups;
-    let mut sim = s.build(variant, seed);
-    match mobile {
+    let side = s.mesh.area_side;
+    s.run_with(variant, seed, |sim| match mobile {
         Some((lo, hi)) => sim.set_mobility(Box::new(
-            RandomWaypoint::new(Area::square(s.area_side), lo, hi, SimDuration::from_secs(5))
+            RandomWaypoint::new(Area::square(side), lo, hi, SimDuration::from_secs(5))
                 .with_tick(SimDuration::from_millis(500)),
         )),
         None => sim.set_mobility(Box::new(Static)),
-    }
-    sim.run_until(s.run_until());
-    RunMeasurement::from_sim(&sim, &groups, seed)
+    })
+    .0
 }
 
 #[test]
@@ -50,11 +48,7 @@ fn protocol_survives_mobility() {
 fn static_model_matches_no_model() {
     // Attaching the Static mobility model must not perturb the simulation.
     let with_static = run(None, Variant::Original, 3);
-    let s = scenario();
-    let groups = s.layout(3).groups;
-    let mut sim = s.build(Variant::Original, 3);
-    sim.run_until(s.run_until());
-    let without = RunMeasurement::from_sim(&sim, &groups, 3);
+    let without = scenario().run_once(Variant::Original, 3);
     assert_eq!(with_static.delivered, without.delivered);
     assert_eq!(with_static.sent, without.sent);
 }
