@@ -75,7 +75,8 @@ fn load(path: &str) -> Vec<TraceEvent> {
 
 /// A deliberately small mesh: enough traffic for every event kind in a few
 /// wall-clock seconds. `faults` draws a seeded random fault plan at that
-/// intensity.
+/// intensity; one outside `[0, 1]` (NaN included) exits 2 before anything
+/// runs.
 fn small_mesh(name: &str, faults: Option<f64>) -> WorkloadScenario {
     let mut w = WorkloadScenario::from_mesh(
         name,
@@ -89,6 +90,9 @@ fn small_mesh(name: &str, faults: Option<f64>) -> WorkloadScenario {
     );
     if let Some(x) = faults {
         w.faults = FaultSpec::Random { intensity: x };
+    }
+    if let Err(e) = w.validate() {
+        die(&format!("bad value for --faults: {e}"));
     }
     w
 }

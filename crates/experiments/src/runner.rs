@@ -225,13 +225,13 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// run cannot discard the sweep.
 ///
 /// A failing job is retried with the **same seed** up to `retries` extra
-/// times (a deterministic panic fails identically; the retry budget exists
-/// for jobs whose failure depends on sweep composition, and to record
-/// `attempts` evidence that the failure is deterministic). Failures are
-/// returned as structured [`RunFailure`]s in the job's slot; the rest of
-/// the matrix is salvaged. Watchdog livelocks (see
-/// [`mesh_sim::simulator::WatchdogBudget`]) are classified via their stable
-/// panic prefix.
+/// times, at most `u32::MAX` attempts in all (a deterministic panic fails
+/// identically; the retry budget exists for jobs whose failure depends on
+/// sweep composition, and to record `attempts` evidence that the failure
+/// is deterministic). Failures are returned as structured [`RunFailure`]s
+/// in the job's slot; the rest of the matrix is salvaged. Watchdog
+/// livelocks (see [`mesh_sim::simulator::WatchdogBudget`]) are classified
+/// via their stable panic prefix.
 ///
 /// Retries are **checkpoint-aware**: every job gets a [`CheckpointSlot`]
 /// that outlives the panic boundary. A job that wires the slot into
@@ -288,7 +288,7 @@ where
                 // retry to resume from.
                 let ckpt = CheckpointSlot::new();
                 let mut resume_points: Vec<Option<SimTime>> = Vec::new();
-                for attempt in 1..=retries + 1 {
+                for attempt in 1..=retries.saturating_add(1) {
                     resume_points.push(ckpt.time());
                     // The closure only borrows `run` (required Sync), Copy
                     // job parameters and the checkpoint slot; the slot is
@@ -580,6 +580,19 @@ mod tests {
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].attempts, 3);
+    }
+
+    #[test]
+    fn the_largest_retry_budget_still_runs_the_job() {
+        // `retries + 1` overflows at this budget; the job must still run.
+        let report = run_jobs_supervised_resumable(
+            &[(Variant::Original, 3u64)],
+            u32::MAX,
+            |_, v, s, _| meas(v, s, s, 0.01),
+            |_, _| {},
+        );
+        assert!(report.is_complete());
+        assert_eq!(report.successes().len(), 1);
     }
 
     #[test]

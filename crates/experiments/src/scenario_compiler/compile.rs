@@ -13,8 +13,8 @@ use odmrp::Variant;
 use crate::scenario::MeshScenario;
 use crate::scenario_compiler::toml::{self, Doc, Entry, Table, TomlError};
 use crate::scenario_compiler::workload::{
-    grid_side, metro_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec,
-    TopologyFamily, TrafficMix, WorkloadScenario,
+    ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec, TopologyFamily, TrafficMix,
+    WorkloadScenario,
 };
 
 /// Sweep settings compiled from `[sweep]` / `[sweep.axes]`.
@@ -276,8 +276,6 @@ fn compile_topology(
                     format!("topology needs at least 2 nodes, got a {cols}x{rows} grid"),
                 ));
             }
-            mesh.nodes = cols * rows;
-            mesh.area_side = grid_side(cols, rows, spacing);
             TopologyFamily::Grid {
                 cols,
                 rows,
@@ -290,9 +288,9 @@ fn compile_topology(
                 "metro derives the area from side_per_50",
             )?;
             require_nodes(mesh)?;
-            let side = t.require("side_per_50")?.float()?;
-            mesh.area_side = metro_side(mesh.nodes, side);
-            TopologyFamily::Metro { side_per_50: side }
+            TopologyFamily::Metro {
+                side_per_50: t.require("side_per_50")?.float()?,
+            }
         }
         other => {
             return Err(TomlError::at(
@@ -301,6 +299,7 @@ fn compile_topology(
             ))
         }
     };
+    fam.rederive(mesh);
     Ok((fam, t.line))
 }
 
@@ -360,14 +359,7 @@ fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError>
     let Some(t) = doc.table("protocol") else {
         return Ok(());
     };
-    t.reject_unknown(&[
-        "probe_rate",
-        "delta_ms",
-        "alpha_ms",
-        "fading",
-        "indexed_medium",
-        "degraded",
-    ])?;
+    t.reject_unknown(&["probe_rate", "delta_ms", "alpha_ms", "fading", "degraded"])?;
     if let Some(e) = t.get("probe_rate") {
         let v = e.float()?;
         // Rejected here, at the deck line, rather than deep in a run: the
@@ -389,9 +381,6 @@ fn compile_protocol(doc: &Doc, mesh: &mut MeshScenario) -> Result<(), TomlError>
     }
     if let Some(e) = t.get("fading") {
         mesh.fading = e.bool()?;
-    }
-    if let Some(e) = t.get("indexed_medium") {
-        mesh.indexed_medium = e.bool()?;
     }
     if let Some(e) = t.get("degraded") {
         mesh.degraded = e.bool()?;
@@ -730,7 +719,9 @@ fn compile_sweep(doc: &Doc, scenario: &WorkloadScenario) -> Result<SweepSpec, To
             spec.base_seed = e.usize()? as u64;
         }
         if let Some(e) = t.get("retries") {
-            spec.retries = e.usize()? as u32;
+            spec.retries = u32::try_from(e.usize()?).map_err(|_| {
+                TomlError::at(e.line, format!("retries must fit in 0..={}", u32::MAX))
+            })?;
         }
         if let Some(e) = t.get("variants") {
             let names = e.str_array()?;

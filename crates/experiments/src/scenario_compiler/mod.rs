@@ -4,27 +4,24 @@
 //! line-numbered errors) → `compile::compile` (strict semantic checking
 //! into a [`workload::WorkloadScenario`] + [`compile::SweepSpec`]) →
 //! `sweep::expand` (cartesian axis expansion into supervised jobs).
-//! `serialize::to_toml` closes the loop: compiled scenarios serialize back
-//! to canonical TOML that re-compiles to an equal struct.
 //!
-//! The compiler is an alternate *front-end*, not a second semantics: it
-//! targets the same [`workload::WorkloadScenario`] backend hand-written
-//! Rust scenarios use, and everything a scenario produces (layouts, fault
-//! plans, simulators) is a pure function of the struct plus `(variant,
-//! seed)` — so equal structs run bit-identically, which the
-//! compile-equivalence test suite asserts via `schedule_hash`.
+//! The decks in `scenarios/*.toml` are the one source for the scenarios
+//! this repository reproduces; there is no Rust copy of them. Everything a
+//! compiled [`workload::WorkloadScenario`] produces (layouts, fault plans,
+//! simulators) is a pure function of the struct plus `(variant, seed)`, so
+//! the compile-equivalence suite pins each deck by the fingerprint of its
+//! compiled struct and a shrunk replay of selected decks by
+//! `schedule_hash`, event count and deliveries.
 
 pub mod compile;
-pub mod serialize;
 pub mod sweep;
 pub mod toml;
 pub mod workload;
 
 pub use compile::{compile, parse_variant, variant_name, CompiledScenario, SweepSpec};
-pub use serialize::to_toml;
 pub use sweep::{check, expand, job_count, quicken, CheckReport, SweepJob, DEFAULT_CAP};
 pub use toml::TomlError;
 pub use workload::{
-    grid_side, metro_side, ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec,
-    TopologyFamily, TrafficMix, WorkloadScenario,
+    ChurnSpec, ChurnWindow, FaultSpec, FaultWindow, MobilitySpec, TopologyFamily, TrafficMix,
+    WorkloadScenario,
 };

@@ -12,9 +12,7 @@ use odmrp::Variant;
 
 use crate::scenario_compiler::compile::{CompiledScenario, SweepSpec, SUPPORTED_AXES};
 use crate::scenario_compiler::toml::TomlError;
-use crate::scenario_compiler::workload::{
-    grid_side, metro_side, FaultSpec, TopologyFamily, TrafficMix, WorkloadScenario,
-};
+use crate::scenario_compiler::workload::{FaultSpec, TopologyFamily, TrafficMix, WorkloadScenario};
 use mesh_sim::time::{SimDuration, SimTime};
 
 /// One concrete run of a sweep.
@@ -118,28 +116,9 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
             ))
         }
     }
-    rederive(w);
+    w.topology.rederive(&mut w.mesh);
     w.validate()
         .map_err(|e| format!("axis `{key}` = {v} makes the scenario invalid: {e}"))
-}
-
-/// Re-derive fields that depend on swept ones (areas of derived-area
-/// families).
-fn rederive(w: &mut WorkloadScenario) {
-    match w.topology {
-        TopologyFamily::Random => {}
-        TopologyFamily::Grid {
-            cols,
-            rows,
-            spacing,
-        } => {
-            w.mesh.nodes = cols * rows;
-            w.mesh.area_side = grid_side(cols, rows, spacing);
-        }
-        TopologyFamily::Metro { side_per_50 } => {
-            w.mesh.area_side = metro_side(w.mesh.nodes, side_per_50);
-        }
-    }
 }
 
 /// Format an axis value the way labels and JSONL want it: integral values

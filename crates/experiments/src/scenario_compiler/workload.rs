@@ -4,12 +4,13 @@
 //! the paper never varies: topology families beyond the random 1000 m mesh
 //! (grids, metro-density placements), traffic mixes beyond steady CBR
 //! (bursty on/off), per-group receiver join/leave churn windows, mobility,
-//! and fault plans. It is **one semantics with two front-ends**: hand-built
-//! Rust constructors and the TOML compiler both produce this struct, and
-//! every derived artifact (layout, simulator, fault plan) is a pure function
-//! of the struct plus `(variant, seed)` — so two equal `WorkloadScenario`s
-//! are guaranteed to run bit-identically (asserted by the
-//! compile-equivalence suite).
+//! and fault plans. The decks in `scenarios/*.toml` are the only written
+//! form of the scenarios this repository reproduces: the TOML compiler
+//! turns each into this struct, and every derived artifact (layout,
+//! simulator, fault plan) is a pure function of the struct plus
+//! `(variant, seed)`, so two equal `WorkloadScenario`s run bit-identically.
+//! The compile-equivalence suite pins each deck's compiled struct by
+//! [`WorkloadScenario::fingerprint`] and its replay by `schedule_hash`.
 //!
 //! It is also the one way to build and run an ODMRP mesh cell: the paper's
 //! runners wrap their [`MeshScenario`] with [`WorkloadScenario::from_mesh`]
@@ -36,7 +37,7 @@ pub enum TopologyFamily {
     /// resampled until connected at `mesh.range` ([`MeshScenario::layout`]).
     Random,
     /// A `cols × rows` grid with the given spacing (meters). `mesh.nodes`
-    /// and `mesh.area_side` are derived — use [`WorkloadScenario::grid`].
+    /// and `mesh.area_side` are derived ([`TopologyFamily::rederive`]).
     Grid {
         /// Grid columns.
         cols: usize,
@@ -52,6 +53,32 @@ pub enum TopologyFamily {
         /// Area side at 50 nodes, meters.
         side_per_50: f64,
     },
+}
+
+impl TopologyFamily {
+    /// Set the mesh fields this family derives: a grid fixes `nodes` and
+    /// `area_side` from its shape (the larger span, at least 1 m so
+    /// [`Area`] stays valid for 1×N chains); a metro placement scales
+    /// `area_side` to `side_per_50 × nodes / 50`; a random mesh derives
+    /// nothing. The compiler, sweep axes and [`WorkloadScenario::validate`]
+    /// all go through here.
+    pub fn rederive(&self, mesh: &mut MeshScenario) {
+        match *self {
+            TopologyFamily::Random => {}
+            TopologyFamily::Grid {
+                cols,
+                rows,
+                spacing,
+            } => {
+                mesh.nodes = cols * rows;
+                let span = spacing * (cols.max(rows).saturating_sub(1)) as f64;
+                mesh.area_side = span.max(1.0);
+            }
+            TopologyFamily::Metro { side_per_50 } => {
+                mesh.area_side = side_per_50 * mesh.nodes as f64 / 50.0;
+            }
+        }
+    }
 }
 
 /// The per-source traffic shape.
@@ -210,18 +237,6 @@ pub struct WorkloadScenario {
     pub faults: FaultSpec,
 }
 
-/// The area side of a `cols × rows` grid with `spacing` (the larger span;
-/// at least 1 m so [`Area`] stays valid for 1×N chains).
-pub fn grid_side(cols: usize, rows: usize, spacing: f64) -> f64 {
-    let span = spacing * (cols.max(rows).saturating_sub(1)) as f64;
-    span.max(1.0)
-}
-
-/// The area side of a metro placement: `side_per_50 × nodes / 50`.
-pub fn metro_side(nodes: usize, side_per_50: f64) -> f64 {
-    side_per_50 * nodes as f64 / 50.0
-}
-
 impl WorkloadScenario {
     /// Wrap a plain [`MeshScenario`]: random topology, steady CBR, no
     /// churn/mobility/faults — the paper's cell.
@@ -234,126 +249,6 @@ impl WorkloadScenario {
             churn: None,
             mobility: None,
             faults: FaultSpec::None,
-        }
-    }
-
-    /// A grid workload: `base` supplies the group/time/protocol knobs;
-    /// `nodes` and `area_side` are derived from the grid shape.
-    pub fn grid(name: &str, cols: usize, rows: usize, spacing: f64, base: MeshScenario) -> Self {
-        let mesh = MeshScenario {
-            nodes: cols * rows,
-            area_side: grid_side(cols, rows, spacing),
-            ..base
-        };
-        WorkloadScenario {
-            topology: TopologyFamily::Grid {
-                cols,
-                rows,
-                spacing,
-            },
-            ..WorkloadScenario::from_mesh(name, mesh)
-        }
-    }
-
-    /// A metro-density workload: `nodes` nodes over a
-    /// `side_per_50 × nodes / 50` square.
-    pub fn metro(name: &str, nodes: usize, side_per_50: f64, base: MeshScenario) -> Self {
-        let mesh = MeshScenario {
-            nodes,
-            area_side: metro_side(nodes, side_per_50),
-            ..base
-        };
-        WorkloadScenario {
-            topology: TopologyFamily::Metro { side_per_50 },
-            ..WorkloadScenario::from_mesh(name, mesh)
-        }
-    }
-
-    /// The Figure-2 workload: the paper's Section 4.1 configuration wrapped
-    /// unchanged. Twin of `scenarios/fig2.toml`.
-    pub fn fig2() -> Self {
-        WorkloadScenario::from_mesh("fig2", MeshScenario::paper_default())
-    }
-
-    /// The reduced Figure-2 workload used by CI. Twin of
-    /// `scenarios/fig2-quick.toml`.
-    pub fn fig2_quick() -> Self {
-        WorkloadScenario::from_mesh("fig2-quick", MeshScenario::quick())
-    }
-
-    /// The Table-1 "high overhead" column: Figure 2 with the probing rate
-    /// multiplied by 5. Twin of `scenarios/table1-high-overhead.toml`.
-    pub fn table1_high_overhead() -> Self {
-        WorkloadScenario::from_mesh(
-            "table1-high-overhead",
-            MeshScenario {
-                probe_rate: 5.0,
-                ..MeshScenario::paper_default()
-            },
-        )
-    }
-
-    /// The metro-density workload: 100 nodes at the fan-out bench's metro
-    /// density (1000 m of side per 50 nodes) with a 60 s data window so
-    /// runs stay tractable. Twin of `scenarios/metro.toml`.
-    pub fn metro_default() -> Self {
-        WorkloadScenario::metro(
-            "metro",
-            100,
-            1000.0,
-            MeshScenario {
-                data_stop: SimTime::from_secs(90),
-                ..MeshScenario::paper_default()
-            },
-        )
-    }
-
-    /// The mobile workload: [`WorkloadScenario::metro_default`] under
-    /// pedestrian random-waypoint motion (the bench's 1.5 m/s point:
-    /// speeds drawn from `[0.75, 2.25]` m/s, no pause). Twin of
-    /// `scenarios/mobile.toml`.
-    pub fn mobile() -> Self {
-        WorkloadScenario {
-            name: "mobile".to_string(),
-            mobility: Some(MobilitySpec {
-                min_speed: 0.75,
-                max_speed: 2.25,
-                pause: SimDuration::ZERO,
-            }),
-            ..WorkloadScenario::metro_default()
-        }
-    }
-
-    /// The flagship city-scale churn workload: 120 nodes at a dense metro
-    /// layout, 6 concurrent groups of 3 receivers, and 2 churning
-    /// receivers per group cycling through a 35–65 s window. The TOML twin
-    /// (`scenarios/city-churn.toml`) additionally carries the sweep axes
-    /// (`groups.count`, `churn.per_group`) that expand this into the
-    /// 100-run supervised matrix.
-    pub fn city_churn() -> Self {
-        WorkloadScenario {
-            name: "city-churn".to_string(),
-            churn: Some(ChurnSpec {
-                per_group: 2,
-                start: SimTime::from_secs(35),
-                end: SimTime::from_secs(65),
-                dwell: SimDuration::from_secs(12),
-                stagger: SimDuration::from_secs(2),
-                flash: false,
-                explicit: Vec::new(),
-            }),
-            ..WorkloadScenario::metro(
-                "city-churn",
-                120,
-                450.0,
-                MeshScenario {
-                    groups: 6,
-                    members_per_group: 3,
-                    data_start: SimTime::from_secs(30),
-                    data_stop: SimTime::from_secs(70),
-                    ..MeshScenario::paper_default()
-                },
-            )
         }
     }
 
@@ -400,28 +295,21 @@ impl WorkloadScenario {
                 if !positive(spacing) {
                     return Err("grid spacing must be positive".into());
                 }
-                if cols * rows != n {
-                    return Err(format!(
-                        "grid is {cols}x{rows} = {} nodes but mesh.nodes is {n}",
-                        cols * rows
-                    ));
-                }
-                if self.mesh.area_side != grid_side(cols, rows, spacing) {
-                    return Err(
-                        "grid area_side is inconsistent; build via WorkloadScenario::grid".into(),
-                    );
-                }
             }
             TopologyFamily::Metro { side_per_50 } => {
                 if !positive(side_per_50) {
                     return Err("metro side_per_50 must be positive".into());
                 }
-                if self.mesh.area_side != metro_side(n, side_per_50) {
-                    return Err(
-                        "metro area_side is inconsistent; build via WorkloadScenario::metro".into(),
-                    );
-                }
             }
+        }
+        let mut derived = self.mesh.clone();
+        self.topology.rederive(&mut derived);
+        if (derived.nodes, derived.area_side) != (n, self.mesh.area_side) {
+            return Err(format!(
+                "nodes = {n}, area_side = {} disagree with the topology family, which derives \
+                 nodes = {}, area_side = {}; call TopologyFamily::rederive",
+                self.mesh.area_side, derived.nodes, derived.area_side
+            ));
         }
         let churners_per_group = self.churn.as_ref().map_or(0, |c| c.per_group);
         let needed = self.mesh.groups
@@ -936,7 +824,10 @@ mod tests {
 
     #[test]
     fn grid_layout_places_a_grid() {
-        let w = WorkloadScenario::grid("g", 4, 3, 100.0, tiny()).validated();
+        let src = "name = \"g\"\n[topology]\nfamily = \"grid\"\ncols = 4\nrows = 3\n\
+                   spacing = 100.0\n[groups]\ncount = 1\nmembers = 3\n";
+        let w = crate::scenario_compiler::compile(src).unwrap().scenario;
+        assert_eq!((w.mesh.nodes, w.mesh.area_side), (12, 300.0));
         let l = w.layout(1);
         assert_eq!(l.positions.len(), 12);
         assert_eq!(l.positions, topology::grid(4, 3, 100.0));
@@ -946,12 +837,9 @@ mod tests {
 
     #[test]
     fn metro_layout_scales_the_area() {
-        let base = MeshScenario {
-            groups: 1,
-            members_per_group: 3,
-            ..MeshScenario::paper_default()
-        };
-        let w = WorkloadScenario::metro("m", 100, 1000.0, base).validated();
+        let src = "name = \"m\"\n[topology]\nfamily = \"metro\"\nnodes = 100\n\
+                   side_per_50 = 1000.0\n[groups]\ncount = 1\nmembers = 3\n";
+        let w = crate::scenario_compiler::compile(src).unwrap().scenario;
         assert_eq!(w.mesh.area_side, 2000.0);
         let l = w.layout(3);
         assert_eq!(l.positions.len(), 100);
@@ -1112,6 +1000,17 @@ mod tests {
             pause: SimDuration::ZERO,
         });
         assert!(w.validate().unwrap_err().contains("min_speed"));
+
+        // A derived field that was not re-derived after the family changed.
+        let mut w = WorkloadScenario::from_mesh("v", tiny());
+        w.topology = TopologyFamily::Metro { side_per_50: 500.0 };
+        assert!(w
+            .validate()
+            .unwrap_err()
+            .contains("disagree with the topology family"));
+        w.topology.rederive(&mut w.mesh);
+        assert_eq!(w.mesh.area_side, 120.0);
+        w.validate().unwrap();
     }
 
     #[test]

@@ -39,6 +39,11 @@ const EXPECTED: &[(&str, usize, &str)] = &[
         "probe_rate must be positive and finite, got 0",
     ),
     (
+        "retries-too-large.toml",
+        8,
+        "retries must fit in 0..=4294967295",
+    ),
+    (
         "unknown-variant.toml",
         8,
         "unknown variant \"WAT\" (expected ODMRP or a registered metric: \
