@@ -378,18 +378,29 @@ fn ckpt_file(dir: &Path, job: usize) -> PathBuf {
     dir.join(format!("job-{job}.bin"))
 }
 
+/// Write `bytes` to `tmp`, flush them to disk, then rename `tmp` onto
+/// `path` and flush the directory entry. The rename is the commit point:
+/// after a SIGKILL or a power loss, `path` holds either its old contents or
+/// all of the new ones.
+fn replace_durably(tmp: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut f = std::fs::File::create(tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 /// Persist one cell checkpoint: 8-byte LE sim-time-nanos prefix, then the
-/// snapshot bytes. Written to a temp file and renamed so a SIGKILL can
-/// never leave a half-written checkpoint behind. Best-effort: a full disk
-/// must not panic the worker (that would read as a sim failure).
+/// snapshot bytes, via [`replace_durably`] so a crash can never leave a
+/// half-written checkpoint behind. Best-effort: a full disk must not panic
+/// the worker (that would read as a sim failure).
 fn write_ckpt(dir: &Path, job: usize, at: SimTime, bytes: &[u8]) {
     let tmp = dir.join(format!("job-{job}.tmp"));
     let mut buf = Vec::with_capacity(8 + bytes.len());
     buf.extend_from_slice(&at.as_nanos().to_le_bytes());
     buf.extend_from_slice(bytes);
-    if std::fs::write(&tmp, &buf).is_ok() {
-        let _ = std::fs::rename(&tmp, ckpt_file(dir, job));
-    }
+    let _ = replace_durably(&tmp, &ckpt_file(dir, job), &buf);
 }
 
 /// Load a persisted cell checkpoint, if one survived. A damaged file is
@@ -909,8 +920,12 @@ fn run(args: &Args) -> Result<(), String> {
         })
         .collect();
     let tmp = format!("{jsonl_path}.tmp");
-    std::fs::write(&tmp, &canonical).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    std::fs::rename(&tmp, &jsonl_path).map_err(|e| format!("cannot finalize {jsonl_path}: {e}"))?;
+    replace_durably(
+        Path::new(&tmp),
+        Path::new(&jsonl_path),
+        canonical.as_bytes(),
+    )
+    .map_err(|e| format!("cannot finalize {jsonl_path} via {tmp}: {e}"))?;
     eprintln!(
         "sweep `{name}`: {} runs ({recovered} recovered) in {:.1}s, JSONL at {jsonl_path}",
         runs.len(),

@@ -238,59 +238,47 @@ fn compile_topology(
         }
         Ok(())
     };
-    let require_nodes = |mesh: &mut MeshScenario| -> Result<(), TomlError> {
+    // Returns the line a node-count error points at.
+    let require_nodes = |mesh: &mut MeshScenario| -> Result<usize, TomlError> {
         let e = t.require("nodes")?;
-        let n = e.usize()?;
-        if n < 2 {
-            return Err(TomlError::at(
-                e.line,
-                format!("topology needs at least 2 nodes, got {n}"),
-            ));
-        }
-        mesh.nodes = n;
-        Ok(())
+        mesh.nodes = e.usize()?;
+        Ok(e.line)
     };
-    let fam = match family.str()? {
+    let (fam, count_line) = match family.str()? {
         "random" => {
             forbid(
                 &["cols", "rows", "spacing", "side_per_50"],
                 "they belong to grid/metro",
             )?;
-            require_nodes(mesh)?;
+            let line = require_nodes(mesh)?;
             if let Some(e) = t.get("area_side") {
                 mesh.area_side = e.float()?;
             }
-            TopologyFamily::Random
+            (TopologyFamily::Random, line)
         }
         "grid" => {
             forbid(
                 &["nodes", "area_side", "side_per_50"],
                 "grids derive them from cols/rows/spacing",
             )?;
-            let cols = t.require("cols")?.usize()?;
-            let rows = t.require("rows")?.usize()?;
-            let spacing = t.require("spacing")?.float()?;
-            if cols * rows < 2 {
-                return Err(TomlError::at(
-                    t.require("cols")?.line,
-                    format!("topology needs at least 2 nodes, got a {cols}x{rows} grid"),
-                ));
-            }
-            TopologyFamily::Grid {
-                cols,
-                rows,
-                spacing,
-            }
+            let cols = t.require("cols")?;
+            let grid = TopologyFamily::Grid {
+                cols: cols.usize()?,
+                rows: t.require("rows")?.usize()?,
+                spacing: t.require("spacing")?.float()?,
+            };
+            (grid, cols.line)
         }
         "metro" => {
             forbid(
                 &["cols", "rows", "spacing", "area_side"],
                 "metro derives the area from side_per_50",
             )?;
-            require_nodes(mesh)?;
-            TopologyFamily::Metro {
+            let line = require_nodes(mesh)?;
+            let metro = TopologyFamily::Metro {
                 side_per_50: t.require("side_per_50")?.float()?,
-            }
+            };
+            (metro, line)
         }
         other => {
             return Err(TomlError::at(
@@ -299,7 +287,8 @@ fn compile_topology(
             ))
         }
     };
-    fam.rederive(mesh);
+    fam.rederive(mesh)
+        .map_err(|e| TomlError::at(count_line, e))?;
     Ok((fam, t.line))
 }
 

@@ -47,13 +47,7 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
             if matches!(w.topology, TopologyFamily::Grid { .. }) {
                 return Err("axis `topology.nodes` does not apply to grid topologies (sweep `topology.spacing` or cols/rows instead)".into());
             }
-            let n = as_count(key, v)?;
-            if n < 2 {
-                return Err(format!(
-                    "axis `topology.nodes` needs at least 2 nodes, got {n}"
-                ));
-            }
-            w.mesh.nodes = n;
+            w.mesh.nodes = as_count(key, v)?;
         }
         "topology.side_per_50" => match &mut w.topology {
             TopologyFamily::Metro { side_per_50 } => *side_per_50 = v,
@@ -116,8 +110,9 @@ pub fn apply_axis(w: &mut WorkloadScenario, key: &str, v: f64) -> Result<(), Str
             ))
         }
     }
-    w.topology.rederive(&mut w.mesh);
-    w.validate()
+    w.topology
+        .rederive(&mut w.mesh)
+        .and_then(|()| w.validate())
         .map_err(|e| format!("axis `{key}` = {v} makes the scenario invalid: {e}"))
 }
 
@@ -353,6 +348,11 @@ variants = ["ODMRP", "SPP"]
         // A value that makes roles exceed nodes is caught by re-validation.
         let err = apply_axis(&mut w, "groups.members", 200.0).unwrap_err();
         assert!(err.contains("invalid"), "{err}");
+        // Node counts outside 2..=MAX_NODES hit the compiler's bound.
+        for n in [1.0, 1e6] {
+            let err = apply_axis(&mut w, "topology.nodes", n).unwrap_err();
+            assert!(err.contains("at least 2 nodes and at most 100000"), "{err}");
+        }
     }
 
     #[test]

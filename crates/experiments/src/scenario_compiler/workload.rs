@@ -30,6 +30,12 @@ use odmrp::{CbrSource, MembershipWindow, OdmrpNode, Variant};
 use crate::measure::RunMeasurement;
 use crate::scenario::{build_simulator, draw_layout, MeshScenario, ScenarioLayout};
 
+/// Largest node count a deck or sweep axis may ask for: far above every
+/// deck in `scenarios/` and the 2 000-node `bench_fanout` configurations.
+/// A larger count is a typo, and building it would allocate per-node state
+/// for every node before anything could fail.
+pub const MAX_NODES: usize = 100_000;
+
 /// How nodes are placed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopologyFamily {
@@ -60,9 +66,12 @@ impl TopologyFamily {
     /// `area_side` from its shape (the larger span, at least 1 m so
     /// [`Area`] stays valid for 1×N chains); a metro placement scales
     /// `area_side` to `side_per_50 × nodes / 50`; a random mesh derives
-    /// nothing. The compiler, sweep axes and [`WorkloadScenario::validate`]
-    /// all go through here.
-    pub fn rederive(&self, mesh: &mut MeshScenario) {
+    /// nothing. The node count must lie in `2..=`[`MAX_NODES`]; outside it
+    /// the error says why and `mesh` may be partly rederived. The compiler,
+    /// sweep axes and [`WorkloadScenario::validate`] all go through here.
+    pub fn rederive(&self, mesh: &mut MeshScenario) -> Result<(), String> {
+        let bounds = 2..=MAX_NODES;
+        let need = format!("topology needs at least 2 nodes and at most {MAX_NODES}");
         match *self {
             TopologyFamily::Random => {}
             TopologyFamily::Grid {
@@ -70,7 +79,10 @@ impl TopologyFamily {
                 rows,
                 spacing,
             } => {
-                mesh.nodes = cols * rows;
+                mesh.nodes = cols
+                    .checked_mul(rows)
+                    .filter(|n| bounds.contains(n))
+                    .ok_or_else(|| format!("{need}, got a {cols}x{rows} grid"))?;
                 let span = spacing * (cols.max(rows).saturating_sub(1)) as f64;
                 mesh.area_side = span.max(1.0);
             }
@@ -78,6 +90,10 @@ impl TopologyFamily {
                 mesh.area_side = side_per_50 * mesh.nodes as f64 / 50.0;
             }
         }
+        if !bounds.contains(&mesh.nodes) {
+            return Err(format!("{need}, got {}", mesh.nodes));
+        }
+        Ok(())
     }
 }
 
@@ -266,9 +282,8 @@ impl WorkloadScenario {
             v.is_finite() && v > 0.0
         }
         let n = self.mesh.nodes;
-        if n < 2 {
-            return Err(format!("topology needs at least 2 nodes, got {n}"));
-        }
+        let mut derived = self.mesh.clone();
+        self.topology.rederive(&mut derived)?;
         if !positive(self.mesh.area_side) || !positive(self.mesh.range) {
             return Err("area_side and range must be positive".into());
         }
@@ -284,14 +299,7 @@ impl WorkloadScenario {
         }
         match self.topology {
             TopologyFamily::Random => {}
-            TopologyFamily::Grid {
-                cols,
-                rows,
-                spacing,
-            } => {
-                if cols == 0 || rows == 0 {
-                    return Err("grid cols and rows must be at least 1".into());
-                }
+            TopologyFamily::Grid { spacing, .. } => {
                 if !positive(spacing) {
                     return Err("grid spacing must be positive".into());
                 }
@@ -302,8 +310,6 @@ impl WorkloadScenario {
                 }
             }
         }
-        let mut derived = self.mesh.clone();
-        self.topology.rederive(&mut derived);
         if (derived.nodes, derived.area_side) != (n, self.mesh.area_side) {
             return Err(format!(
                 "nodes = {n}, area_side = {} disagree with the topology family, which derives \
@@ -1008,7 +1014,7 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("disagree with the topology family"));
-        w.topology.rederive(&mut w.mesh);
+        w.topology.rederive(&mut w.mesh).unwrap();
         assert_eq!(w.mesh.area_side, 120.0);
         w.validate().unwrap();
     }

@@ -164,7 +164,7 @@ fn city_churn_replays_to_its_pins_with_churn_active() {
     // overlay stays active (two churners per group inside the window).
     let mut w = load(&deck_dir(), "city-churn.toml").scenario;
     w.mesh.nodes = 60;
-    w.topology.rederive(&mut w.mesh);
+    w.topology.rederive(&mut w.mesh).unwrap();
     w.mesh.groups = 3;
     w.mesh.data_stop = SimTime::from_secs(45);
     let churn = w.churn.as_mut().expect("city-churn has churn");

@@ -13,6 +13,12 @@ const EXPECTED: &[(&str, usize, &str)] = &[
     ("unknown-key.toml", 6, "unknown key `rage`"),
     ("leave-before-join.toml", 11, "must be after join_secs"),
     ("zero-nodes.toml", 5, "at least 2 nodes"),
+    ("huge-nodes.toml", 7, "at most 100000, got 1000000000000"),
+    (
+        "grid-overflow.toml",
+        7,
+        "at most 100000, got a 4294967296x4294967296 grid",
+    ),
     (
         "bad-sweep-axis.toml",
         8,

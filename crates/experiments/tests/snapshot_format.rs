@@ -15,6 +15,7 @@ use experiments::scenario::MeshScenario;
 use experiments::scenario_compiler::{FaultSpec, MobilitySpec, WorkloadScenario};
 use mcast_metrics::MetricKind;
 use mesh_sim::prelude::*;
+use mesh_sim::rng::SimRng;
 use mesh_sim::snapshot::{SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 use odmrp::Variant;
 use std::path::PathBuf;
@@ -155,5 +156,100 @@ fn live_snapshot_matches_fixture_bytes() {
         generate_fixture_bytes() == load_fixture(),
         "a fresh snapshot of the pinned scenario differs from the committed \
          fixture; the writer's output drifted"
+    );
+}
+
+/// One hostile edit of the fixture, named so a failure can be replayed.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Keep only the first `n` bytes.
+    Truncate(usize),
+    /// Flip bit `bit` of byte `at`.
+    FlipBit { at: usize, bit: u8 },
+    /// Overwrite the 8 bytes at `at` (a plausible container length) with
+    /// `u64::MAX`.
+    InflateLength(usize),
+}
+
+impl Mutation {
+    fn apply(self, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        match self {
+            Mutation::Truncate(n) => out.truncate(n),
+            Mutation::FlipBit { at, bit } => out[at] ^= 1 << bit,
+            Mutation::InflateLength(at) => out[at..at + 8].copy_from_slice(&[0xff; 8]),
+        }
+        out
+    }
+}
+
+/// A bounded, seeded set of mutations of `bytes`: truncation at a fixed
+/// stride, single-bit flips at random offsets, and `u64::MAX` written over
+/// words that read as small non-zero counts (where container lengths live,
+/// along with other small integers).
+fn hostile_mutations(bytes: &[u8]) -> Vec<Mutation> {
+    const TRUNCATE_STRIDE: usize = 97;
+    const BIT_FLIPS: usize = 1500;
+    const INFLATIONS: usize = 500;
+    let mut out: Vec<Mutation> = (0..bytes.len())
+        .step_by(TRUNCATE_STRIDE)
+        .map(Mutation::Truncate)
+        .collect();
+    let mut rng = SimRng::seed_from(0x5eed_f11b);
+    for _ in 0..BIT_FLIPS {
+        out.push(Mutation::FlipBit {
+            at: rng.uniform_u32(bytes.len() as u32) as usize,
+            bit: rng.uniform_u32(8) as u8,
+        });
+    }
+    let counts: Vec<usize> = (16..bytes.len().saturating_sub(8))
+        .filter(|&at| {
+            let v = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            (1..=4096).contains(&v)
+        })
+        .collect();
+    for _ in 0..INFLATIONS.min(counts.len()) {
+        let at = counts[rng.uniform_u32(counts.len() as u32) as usize];
+        out.push(Mutation::InflateLength(at));
+    }
+    out
+}
+
+/// Restoring a damaged checkpoint into a freshly built simulator returns
+/// `Ok` or a typed [`SnapError`]; it never panics. Corrupt input is what a
+/// crash mid-write or a bad disk hands `sweep --resume`.
+#[test]
+fn hostile_snapshots_restore_or_fail_typed_never_panic() {
+    let bytes = load_fixture();
+    let fp = header_fingerprint(&bytes);
+    let w = fixture_workload();
+    let mutations = hostile_mutations(&bytes);
+    let mut panicked = Vec::new();
+    let mut accepted_truncations = Vec::new();
+    for m in &mutations {
+        let damaged = m.apply(&bytes);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sim = w.build(FIXTURE_VARIANT, FIXTURE_SEED);
+            sim.world_mut().set_metrics(SimDuration::from_secs(3));
+            sim.restore(&damaged, fp)
+        }));
+        match outcome {
+            Ok(Ok(())) if matches!(m, Mutation::Truncate(_)) => accepted_truncations.push(*m),
+            Ok(_) => {}
+            Err(_) => panicked.push(*m),
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "restore panicked on {} of {} mutations: {panicked:?}",
+        panicked.len(),
+        mutations.len()
+    );
+    // Every byte is needed, so no strict prefix may restore. (A flipped
+    // bit in a float or a counter can restore cleanly: the format has no
+    // checksum yet.)
+    assert!(
+        accepted_truncations.is_empty(),
+        "truncated checkpoints restored: {accepted_truncations:?}"
     );
 }

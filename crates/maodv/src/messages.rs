@@ -28,27 +28,7 @@ impl RouteRequest {
     pub const BYTES: u32 = 52;
 }
 
-impl Snap for RouteRequest {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.prev_hop.snap(w);
-        w.put_u8(self.hop_count);
-        w.put_f64(self.cost);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RouteRequest {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            prev_hop: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            cost: r.f64()?,
-        })
-    }
-}
+mesh_sim::snap_struct! { RouteRequest { group, source, seq, prev_hop, hop_count, cost } }
 
 /// A graft (MAODV's `MACT`-style activation), **unicast** hop by hop from a
 /// member toward the source. Each hop adds the sender as a tree child and
@@ -70,23 +50,7 @@ impl Graft {
     pub const BYTES: u32 = 36;
 }
 
-impl Snap for Graft {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        self.origin.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Graft {
-            group: Snap::unsnap(r)?,
-            source: Snap::unsnap(r)?,
-            seq: r.u32()?,
-            origin: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct! { Graft { group, source, seq, origin } }
 
 /// Everything a tree-multicast node puts on the air.
 #[derive(Debug, Clone, PartialEq)]

@@ -93,27 +93,9 @@ impl Snap for TimerPayload {
     }
 }
 
-impl Snap for RequestState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.best_cost.snap(w);
-        self.upstream.snap(w);
-        w.put_u8(self.hop_count);
-        self.alpha_deadline.snap(w);
-        self.best_forwarded.snap(w);
-        w.put_bool(self.forward_pending);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestState {
-            group: Snap::unsnap(r)?,
-            best_cost: Snap::unsnap(r)?,
-            upstream: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            alpha_deadline: Snap::unsnap(r)?,
-            best_forwarded: Snap::unsnap(r)?,
-            forward_pending: r.bool()?,
-        })
+mesh_sim::snap_struct! {
+    RequestState {
+        group, best_cost, upstream, hop_count, alpha_deadline, best_forwarded, forward_pending,
     }
 }
 
@@ -132,17 +114,7 @@ impl TreeState {
     }
 }
 
-impl Snap for TreeState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.children.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TreeState {
-            children: Snap::unsnap(r)?,
-        })
-    }
-}
+mesh_sim::snap_struct! { TreeState { children } }
 
 /// A tree-based multicast protocol instance (MAODV-style).
 #[derive(Debug)]

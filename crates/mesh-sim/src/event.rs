@@ -213,21 +213,7 @@ impl Snap for EventKind {
     }
 }
 
-impl Snap for ScheduledEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.time.snap(w);
-        w.put_u64(self.seq);
-        self.kind.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ScheduledEvent {
-            time: SimTime::unsnap(r)?,
-            seq: r.u64()?,
-            kind: EventKind::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct! { ScheduledEvent { time, seq, kind } }
 
 /// The pending events of a queue in their unique `(time, seq)` dequeue
 /// order: the canonical wire form of an [`EventQueue`].
@@ -245,27 +231,7 @@ pub(crate) struct PendingEvents {
     pub seq: u64,
 }
 
-impl Snap for PendingEvents {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_usize(self.events.len());
-        for ev in &self.events {
-            ev.snap(w);
-        }
-        w.put_u64(self.seq);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(ScheduledEvent::unsnap(r)?);
-        }
-        Ok(PendingEvents {
-            events,
-            seq: r.u64()?,
-        })
-    }
-}
+crate::snap_struct! { PendingEvents { events, seq } }
 
 /// One receiver of a fanned-out frame: its RxStart is `(at, seq)` and its
 /// RxEnd is `(at + air, seq + 1)`.

@@ -61,25 +61,9 @@ pub struct IndexStats {
     pub full_invalidations: u64,
 }
 
-impl Snap for IndexStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rebuckets);
-        w.put_u64(self.epoch_bumps);
-        w.put_u64(self.cache_hits);
-        w.put_u64(self.cache_refreshes);
-        w.put_u64(self.cache_rebuilds);
-        w.put_u64(self.full_invalidations);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(IndexStats {
-            rebuckets: r.u64()?,
-            epoch_bumps: r.u64()?,
-            cache_hits: r.u64()?,
-            cache_refreshes: r.u64()?,
-            cache_rebuilds: r.u64()?,
-            full_invalidations: r.u64()?,
-        })
+crate::snap_struct! {
+    IndexStats {
+        rebuckets, epoch_bumps, cache_hits, cache_refreshes, cache_rebuilds, full_invalidations,
     }
 }
 
@@ -222,21 +206,7 @@ struct Candidate {
     dist_m: f64,
 }
 
-impl Snap for Candidate {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.node.snap(w);
-        w.put_f64(self.mean_w);
-        w.put_f64(self.dist_m);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Candidate {
-            node: Snap::unsnap(r)?,
-            mean_w: r.f64()?,
-            dist_m: r.f64()?,
-        })
-    }
-}
+crate::snap_struct! { Candidate { node, mean_w, dist_m } }
 
 /// The distance-independent inputs of one [`FanOutCache::refilter`] pass,
 /// bundled so both call sites in `plan_with` hand over one value.
@@ -261,21 +231,7 @@ struct MembershipPatch {
     added: bool,
 }
 
-impl Snap for MembershipPatch {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.seq);
-        w.put_u32(self.node);
-        w.put_bool(self.added);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MembershipPatch {
-            seq: r.u64()?,
-            node: r.u32()?,
-            added: r.bool()?,
-        })
-    }
-}
+crate::snap_struct! { MembershipPatch { seq, node, added } }
 
 /// Per-cell epoch pair, kept adjacent so the hot block scan in
 /// [`FanOutCache::plan_with`] touches one slot per cell instead of two
@@ -288,19 +244,7 @@ struct CellEpochs {
     motion: u64,
 }
 
-impl Snap for CellEpochs {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u64(self.membership);
-        w.put_u64(self.motion);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CellEpochs {
-            membership: r.u64()?,
-            motion: r.u64()?,
-        })
-    }
-}
+crate::snap_struct! { CellEpochs { membership, motion } }
 
 /// Bounded log of recent [`MembershipPatch`]es for one grid cell, oldest
 /// first. Patching a cached superset is valid only while every patch newer
@@ -335,19 +279,7 @@ impl CellLog {
     }
 }
 
-impl Snap for CellLog {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.patches.snap(w);
-        w.put_u64(self.retained_from);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CellLog {
-            patches: Snap::unsnap(r)?,
-            retained_from: r.u64()?,
-        })
-    }
-}
+crate::snap_struct! { CellLog { patches, retained_from } }
 
 /// One transmitter's cached fan-out state (see [`FanOutCache`]).
 #[derive(Debug, Clone)]
@@ -372,25 +304,9 @@ struct TxEntry {
     list: Vec<Candidate>,
 }
 
-impl Snap for TxEntry {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put_u32(self.home_cell);
-        w.put_u64(self.seen_membership);
-        w.put_u64(self.seen_motion);
-        w.put_u64(self.seen_seq);
-        self.superset.snap(w);
-        self.list.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TxEntry {
-            home_cell: r.u32()?,
-            seen_membership: r.u64()?,
-            seen_motion: r.u64()?,
-            seen_seq: r.u64()?,
-            superset: Snap::unsnap(r)?,
-            list: Snap::unsnap(r)?,
-        })
+crate::snap_struct! {
+    TxEntry {
+        home_cell, seen_membership, seen_motion, seen_seq, superset, list,
     }
 }
 

@@ -22,8 +22,6 @@
 //! population migrates far off the original frame should rebuild the index.
 
 use crate::geometry::Pos;
-use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
 /// Upper bound on grid cells per axis; keeps degenerate configurations
 /// (tiny radio range in a huge area) from allocating unbounded cell arrays.
 /// Cells just get coarser — queries stay correct, only less selective.
@@ -261,27 +259,7 @@ impl NeighborIndex {
 // orders downstream. Incremental updates provably equal a same-frame rebuild
 // (`incremental_updates_match_frame_rebuild`), so the serialized contents
 // are exactly what the uninterrupted run would hold.
-impl Snap for NeighborIndex {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.origin.snap(w);
-        w.put_f64(self.cell_m);
-        w.put_usize(self.cols);
-        w.put_usize(self.rows);
-        self.cells.snap(w);
-        self.node_cell.snap(w);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(NeighborIndex {
-            origin: Snap::unsnap(r)?,
-            cell_m: r.f64()?,
-            cols: r.usize()?,
-            rows: r.usize()?,
-            cells: Snap::unsnap(r)?,
-            node_cell: Snap::unsnap(r)?,
-        })
-    }
-}
+crate::snap_struct! { NeighborIndex { origin, cell_m, cols, rows, cells, node_cell } }
 
 /// Cells needed to cover `span` meters with `cell`-sized cells, capped.
 fn grid_extent(span: f64, cell: f64) -> usize {

@@ -10,7 +10,8 @@
 //! Two traits split the work:
 //!
 //! * [`Snap`] — value types that serialize themselves field-by-field
-//!   (primitives, containers, ids, times, protocol messages).
+//!   (primitives, containers, ids, times, protocol messages). A plain
+//!   struct states its field list once, in [`crate::snap_struct!`].
 //! * [`SnapshotState`] — stateful components (protocol nodes, media,
 //!   mobility models) that write their *mutable* state into an existing
 //!   stream and restore it in place. Configuration that is re-derived from
@@ -304,6 +305,52 @@ pub trait SnapshotState {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
+/// Implement [`Snap`] for a plain struct from one list of its fields.
+///
+/// The list is the wire order: `snap` writes each field with its own
+/// [`Snap`] impl and `unsnap` reads them back in the same order, so the two
+/// directions cannot drift apart. Both destructure the struct with no `..`,
+/// so a field missing from the list is a compile error. Type parameters
+/// are bounded by [`Snap`].
+///
+/// ```
+/// struct Pair<T> {
+///     left: T,
+///     right: u64,
+/// }
+/// mesh_sim::snap_struct! { Pair<T> { left, right } }
+/// ```
+///
+/// Leaving a field out does not build:
+///
+/// ```compile_fail,E0027
+/// struct Pair {
+///     left: u32,
+///     right: u64,
+/// }
+/// mesh_sim::snap_struct! { Pair { left } }
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($name:ident $(<$($param:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl $(<$($param: $crate::snapshot::Snap),+>)? $crate::snapshot::Snap
+            for $name $(<$($param),+>)?
+        {
+            fn snap(&self, w: &mut $crate::snapshot::SnapWriter) {
+                let $name { $($field),+ } = self;
+                $($crate::snapshot::Snap::snap($field, w);)+
+            }
+
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::snapshot::SnapError> {
+                $(let $field = $crate::snapshot::Snap::unsnap(r)?;)+
+                ::core::result::Result::Ok($name { $($field),+ })
+            }
+        }
+    };
+}
+
 impl Snap for u8 {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_u8(*self);
@@ -472,6 +519,23 @@ impl<T: Snap + Ord> Snap for BTreeSet<T> {
     }
 }
 
+// Fixed-size arrays carry no length prefix: the length is part of the type.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        for v in self {
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::unsnap(r)?);
+        }
+        out.try_into()
+            .map_err(|_| SnapError::StateMismatch("array length"))
+    }
+}
+
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn snap(&self, w: &mut SnapWriter) {
         self.0.snap(w);
@@ -631,6 +695,43 @@ mod tests {
         roundtrip((1u32, 2u64));
         roundtrip((1u8, 2u32, 3u64));
         roundtrip(Arc::new(42u64));
+        roundtrip([(1u8, 2u64), (3, 4), (5, 6)]);
+        roundtrip([0u32; 0]);
+    }
+
+    #[test]
+    fn arrays_have_no_length_prefix() {
+        let mut w = SnapWriter::new();
+        [7u32, 8].snap(&mut w);
+        assert_eq!(w.into_bytes(), [7, 0, 0, 0, 8, 0, 0, 0]);
+        let mut r = SnapReader::new(&[7, 0, 0, 0]);
+        assert_eq!(<[u32; 2]>::unsnap(&mut r), Err(SnapError::Truncated));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Listed<T> {
+        tail: u8,
+        head: T,
+        mid: Option<f64>,
+    }
+    crate::snap_struct! { Listed<T> { head, mid, tail } }
+
+    #[test]
+    fn snap_struct_writes_fields_in_list_order() {
+        let v = Listed {
+            tail: 9,
+            head: 0x0102_0304u32,
+            mid: Some(0.5),
+        };
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        let mut hand = SnapWriter::new();
+        hand.put_u32(0x0102_0304);
+        hand.put_u8(1);
+        hand.put_f64(0.5);
+        hand.put_u8(9);
+        assert_eq!(w.into_bytes(), hand.into_bytes());
+        roundtrip(v);
     }
 
     #[test]

@@ -98,29 +98,10 @@ struct QueryState {
     used_quarantined: bool,
 }
 
-impl Snap for QueryState {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.group.snap(w);
-        self.best_cost.snap(w);
-        self.upstream.snap(w);
-        w.put_u8(self.hop_count);
-        self.alpha_deadline.snap(w);
-        self.best_forwarded.snap(w);
-        w.put_bool(self.forward_pending);
-        w.put_bool(self.used_quarantined);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(QueryState {
-            group: Snap::unsnap(r)?,
-            best_cost: Snap::unsnap(r)?,
-            upstream: Snap::unsnap(r)?,
-            hop_count: r.u8()?,
-            alpha_deadline: Snap::unsnap(r)?,
-            best_forwarded: Snap::unsnap(r)?,
-            forward_pending: r.bool()?,
-            used_quarantined: r.bool()?,
-        })
+mesh_sim::snap_struct! {
+    QueryState {
+        group, best_cost, upstream, hop_count, alpha_deadline, best_forwarded, forward_pending,
+        used_quarantined,
     }
 }
 
